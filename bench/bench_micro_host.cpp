@@ -4,6 +4,10 @@
 // paths the paper counts in SPARC instructions cost a few host nanoseconds.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <queue>
+#include <vector>
+
 #include "apps/counters.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
@@ -20,24 +24,23 @@ using namespace abcl;
 
 // ---- allocators -------------------------------------------------------------
 
-// state.range(0): 1 = slab-pooled, 0 = the general-purpose ablation mode.
 void BM_SlabAllocFree(benchmark::State& state) {
   util::Arena arena;
-  util::SlabAllocator pool(arena, state.range(0) != 0);
+  util::SlabAllocator pool(arena);
   for (auto _ : state) {
     void* p = pool.allocate(128);
     benchmark::DoNotOptimize(p);
     pool.deallocate(p, 128);
   }
 }
-BENCHMARK(BM_SlabAllocFree)->Arg(1)->Arg(0);
+BENCHMARK(BM_SlabAllocFree);
 
 // Frame-churn shape: a burst of live frames across classes, then release —
 // the pattern a dispatch cascade produces (the single-slot ping-pong above
 // flatters any allocator).
 void BM_SlabChurn(benchmark::State& state) {
   util::Arena arena;
-  util::SlabAllocator pool(arena, state.range(0) != 0);
+  util::SlabAllocator pool(arena);
   void* live[64];
   const std::size_t sizes[4] = {48, 96, 160, 320};
   for (auto _ : state) {
@@ -46,7 +49,7 @@ void BM_SlabChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_SlabChurn)->Arg(1)->Arg(0);
+BENCHMARK(BM_SlabChurn);
 
 void BM_ArenaBump(benchmark::State& state) {
   util::Arena arena;
@@ -71,11 +74,9 @@ BENCHMARK(BM_MsgQueuePushPop);
 
 // ---- network ----------------------------------------------------------------
 
-// state.range(0): 1 = recycled packet slots, 0 = per-send heap allocation.
 void BM_NetworkSendPoll(benchmark::State& state) {
   sim::CostModel cm = sim::CostModel::ap1000();
-  net::Network net(net::Topology(net::TopologyKind::kTorus2D, 64), &cm, {},
-                   state.range(0) != 0);
+  net::Network net(net::Topology(net::TopologyKind::kTorus2D, 64), &cm);
   sim::Instr t = 0;
   for (auto _ : state) {
     net::Packet p;
@@ -90,15 +91,13 @@ void BM_NetworkSendPoll(benchmark::State& state) {
     benchmark::DoNotOptimize(got);
   }
 }
-BENCHMARK(BM_NetworkSendPoll)->Arg(1)->Arg(0);
+BENCHMARK(BM_NetworkSendPoll);
 
-// Same, but against a standing queue of 256 in-flight packets: heap sifts
-// now move 24-byte slot refs instead of whole Packets, which is where the
-// pooled queue wins.
+// Same, but against a standing queue of 256 in-flight packets: queue moves
+// shift 24-byte slot refs instead of whole Packets.
 void BM_NetworkSendPollDeep(benchmark::State& state) {
   sim::CostModel cm = sim::CostModel::ap1000();
-  net::Network net(net::Topology(net::TopologyKind::kTorus2D, 64), &cm, {},
-                   state.range(0) != 0);
+  net::Network net(net::Topology(net::TopologyKind::kTorus2D, 64), &cm);
   sim::Instr t = 0;
   auto send_one = [&](std::int32_t src) {
     net::Packet p;
@@ -121,7 +120,7 @@ void BM_NetworkSendPollDeep(benchmark::State& state) {
     benchmark::DoNotOptimize(got);
   }
 }
-BENCHMARK(BM_NetworkSendPollDeep)->Arg(1)->Arg(0);
+BENCHMARK(BM_NetworkSendPollDeep);
 
 // ---- time queues ------------------------------------------------------------
 
@@ -141,9 +140,11 @@ struct QLess {
 // Standing-depth push/pop ping-pong: pop the min, reinsert it a pseudo-random
 // small stride later — the drifting-time-front shape both the machine's ready
 // set and the per-destination arrival queues produce. state.range(0) = depth.
-void queue_push_pop(benchmark::State& state, util::QueueKind kind) {
+// Q is any min-first queue of QEntry with push/top/pop.
+template <class Q>
+void queue_push_pop(benchmark::State& state) {
   const auto depth = static_cast<int>(state.range(0));
-  util::BucketQueue<QEntry, QKey, QLess> q(kind);
+  Q q;
   std::uint64_t x = 0x9e3779b97f4a7c15ull;
   auto next = [&x] {
     x ^= x << 13;
@@ -166,38 +167,54 @@ void queue_push_pop(benchmark::State& state, util::QueueKind kind) {
 }
 
 void BM_BucketQueuePushPop(benchmark::State& state) {
-  queue_push_pop(state, util::QueueKind::kBucket);
+  queue_push_pop<util::BucketQueue<QEntry, QKey, QLess>>(state);
 }
 BENCHMARK(BM_BucketQueuePushPop)->Arg(16)->Arg(256)->Arg(4096);
 
+// The binary-heap baseline: std::priority_queue pops the max, so invert.
+struct QGreater {
+  bool operator()(const QEntry& a, const QEntry& b) const {
+    return QLess{}(b, a);
+  }
+};
+
 void BM_BinaryHeapPushPop(benchmark::State& state) {
-  queue_push_pop(state, util::QueueKind::kHeap);
+  queue_push_pop<std::priority_queue<QEntry, std::vector<QEntry>, QGreater>>(
+      state);
 }
 BENCHMARK(BM_BinaryHeapPushPop)->Arg(16)->Arg(256)->Arg(4096);
 
 // ---- barrier flush ----------------------------------------------------------
 
-// flush_outboxes ablation: the coordinator-side cost of committing a window's
-// sends from 8 worker outboxes. state.range(0) = packets per box;
-// state.range(1): 1 = k-way merge over pre-sorted runs (the pre-sort itself
-// is excluded, as in production it runs inside the parallel region), 0 = the
-// historical global stable_sort. Fill and drain run under PauseTiming.
+// The coordinator-side cost of committing a window's sends from 8 worker
+// outboxes. state.range(0) = packets per box; state.range(1): 1 = the
+// production k-way merge over pre-sorted runs (the pre-sort itself is
+// excluded, as in production it runs inside the parallel region), 0 = a
+// global std::stable_sort baseline that gathers every box's sends, sorts
+// them into canonical (key, src) order and commits them directly. Fill and
+// drain run under PauseTiming.
 void BM_FlushOutboxesMerge(benchmark::State& state) {
   const auto per_box = static_cast<int>(state.range(0));
   const bool merge = state.range(1) != 0;
   constexpr int kBoxes = 8;
   constexpr std::int32_t kNodes = 64;
+  struct Item {
+    net::Packet pkt;
+    sim::Instr key;
+  };
   sim::CostModel cm = sim::CostModel::ap1000();
-  net::Network net(net::Topology(net::TopologyKind::kTorus2D, kNodes), &cm, {},
-                   true, util::QueueKind::kBucket,
-                   merge ? net::FlushKind::kMerge : net::FlushKind::kSort);
+  net::Network net(net::Topology(net::TopologyKind::kTorus2D, kNodes), &cm);
   net::Network::Outbox boxes[kBoxes];
   net::Network::Outbox* ptrs[kBoxes];
   for (int b = 0; b < kBoxes; ++b) ptrs[b] = &boxes[b];
-  for (std::int32_t src = 0; src < kNodes; ++src) {
-    net.set_outbox(src, &boxes[src % kBoxes]);  // round-robin shard, as in
-                                                // ParallelMachine
+  if (merge) {
+    for (std::int32_t src = 0; src < kNodes; ++src) {
+      net.set_outbox(src, &boxes[src % kBoxes]);  // round-robin shard, as in
+                                                  // ParallelMachine
+    }
   }
+  std::vector<Item> runs[kBoxes];  // sort side: the same sends, per box
+  std::vector<Item> gathered;
   sim::Instr t = 1;
   for (auto _ : state) {
     state.PauseTiming();
@@ -205,22 +222,45 @@ void BM_FlushOutboxesMerge(benchmark::State& state) {
       for (int b = 0; b < kBoxes; ++b) {
         auto src = static_cast<std::int32_t>(
             (b + kBoxes * (i % (kNodes / kBoxes))) % kNodes);
-        boxes[b].set_current_key(t + static_cast<sim::Instr>((i * 7 + b * 3) %
-                                                             64));
+        const sim::Instr key =
+            t + static_cast<sim::Instr>((i * 7 + b * 3) % 64);
         net::Packet p;
         p.handler = 0;
         p.src = src;
         p.dst = (src + 17) % kNodes;
         p.send_time = t;
         p.push(42);
-        net.send(std::move(p), net::AmCategory::kObjectMessage);
+        if (merge) {
+          boxes[b].set_current_key(key);
+          net.send(std::move(p), net::AmCategory::kObjectMessage);
+        } else {
+          runs[b].push_back({p, key});
+        }
       }
     }
     if (merge) {
       for (auto& b : boxes) b.sort_canonical();
     }
     state.ResumeTiming();
-    net.flush_outboxes(ptrs, kBoxes);
+    if (merge) {
+      net.flush_outboxes(ptrs, kBoxes);
+    } else {
+      gathered.clear();
+      for (auto& r : runs) {
+        gathered.insert(gathered.end(), r.begin(), r.end());
+        r.clear();
+      }
+      // Canonical order: (key, src); stability keeps each source's program
+      // order, since one source lives in exactly one box.
+      std::stable_sort(gathered.begin(), gathered.end(),
+                       [](const Item& a, const Item& b) {
+                         if (a.key != b.key) return a.key < b.key;
+                         return a.pkt.src < b.pkt.src;
+                       });
+      for (Item& it : gathered) {
+        net.send(std::move(it.pkt), net::AmCategory::kObjectMessage);
+      }
+    }
     state.PauseTiming();
     net::Packet out;
     for (std::int32_t d = 0; d < kNodes; ++d) {

@@ -25,38 +25,6 @@ int resolve_host_threads(int configured) {
 // The single-word env knobs all route through util::parse_choice /
 // util::choice_error, following the same strictness discipline as
 // ABCLSIM_HOST_THREADS: a typo aborts instead of silently picking a mode.
-bool parse_pooling_env(const char* text) {
-  if (text == nullptr || *text == '\0') return true;  // unset: pooled
-  std::optional<std::size_t> i =
-      util::parse_choice(text, {"1", "true", "on", "0", "false", "off"});
-  ABCL_CHECK_MSG(i.has_value(),
-                 util::choice_error("ABCLSIM_POOLING", text,
-                                    "1/true/on or 0/false/off",
-                                    "pooled allocation")
-                     .c_str());
-  return *i < 3;
-}
-
-util::QueueKind parse_queue_env(const char* text) {
-  if (text == nullptr || *text == '\0') return util::QueueKind::kBucket;
-  std::optional<std::size_t> i = util::parse_choice(text, {"bucket", "heap"});
-  ABCL_CHECK_MSG(i.has_value(),
-                 util::choice_error("ABCLSIM_QUEUE", text, "bucket or heap",
-                                    "the bucketed time queue")
-                     .c_str());
-  return *i == 0 ? util::QueueKind::kBucket : util::QueueKind::kHeap;
-}
-
-net::FlushKind parse_flush_env(const char* text) {
-  if (text == nullptr || *text == '\0') return net::FlushKind::kMerge;
-  std::optional<std::size_t> i = util::parse_choice(text, {"merge", "sort"});
-  ABCL_CHECK_MSG(i.has_value(),
-                 util::choice_error("ABCLSIM_FLUSH", text, "merge or sort",
-                                    "the k-way merge commit path")
-                     .c_str());
-  return *i == 0 ? net::FlushKind::kMerge : net::FlushKind::kSort;
-}
-
 sim::HorizonKind parse_horizon_env(const char* text) {
   if (text == nullptr || *text == '\0') return sim::HorizonKind::kGlobal;
   std::optional<std::size_t> i =
@@ -92,9 +60,6 @@ WorldConfig WorldConfig::from_env() {
   // Record the resolved decision: -1 forces serial, so constructing a World
   // from this config later never re-reads the environment.
   cfg.host_threads = *threads == 0 ? -1 : *threads;
-  cfg.pooling = parse_pooling_env(std::getenv("ABCLSIM_POOLING"));
-  cfg.queue = parse_queue_env(std::getenv("ABCLSIM_QUEUE"));
-  cfg.flush = parse_flush_env(std::getenv("ABCLSIM_FLUSH"));
   cfg.horizon = parse_horizon_env(std::getenv("ABCLSIM_HORIZON"));
   cfg.shard = parse_shard_env(std::getenv("ABCLSIM_SHARD"));
   err.clear();
@@ -158,8 +123,7 @@ World::World(core::Program& prog, WorldConfig cfg) : cfg_(cfg), prog_(&prog) {
 
   net_ = std::make_unique<net::Network>(
       net::Topology(cfg_.topology, cfg_.nodes), &cfg_.cost,
-      std::function<void(core::NodeId)>{}, cfg_.pooling, cfg_.queue,
-      cfg_.flush, cfg_.faults);
+      std::function<void(core::NodeId)>{}, cfg_.faults);
 
   {
     std::string merr;
@@ -168,16 +132,11 @@ World::World(core::Program& prog, WorldConfig cfg) : cfg_(cfg), prog_(&prog) {
     ABCL_CHECK_MSG(ckpt::validate_checkpoint_config(cfg_.ckpt, &merr),
                    merr.c_str());
   }
-  // Checkpointable heaps are reserved-arena slab heaps; the unpooled
-  // ablation allocates from the general heap, which cannot be imaged.
-  ABCL_CHECK_MSG(!cfg_.ckpt.enabled || cfg_.pooling,
-                 "checkpointing requires pooling (reserved node arenas)");
 
   nodes_.reserve(static_cast<std::size_t>(cfg_.nodes));
   for (std::int32_t i = 0; i < cfg_.nodes; ++i) {
     core::NodeRuntime::Config nc = cfg_.node;
     nc.seed = cfg_.seed;
-    nc.pooling = cfg_.pooling;
     nc.migration = cfg_.migration;
     // The shed policy is blind without load figures: when the app enabled
     // migration but left gossip off, gossip runs at the shed interval.
@@ -210,7 +169,7 @@ void World::build_machine() {
         std::move(execs), net_.get(), threads, opts);
     host_threads_ = threads;
   } else {
-    machine_ = std::make_unique<sim::Machine>(std::move(execs), cfg_.queue);
+    machine_ = std::make_unique<sim::Machine>(std::move(execs));
     host_threads_ = 1;
   }
 

@@ -46,20 +46,6 @@ struct WorldConfig {
   // < 0 = force the serial Machine regardless of the environment. Results
   // are bit-identical across all settings.
   int host_threads = 0;
-  // Hot-path memory pooling: slab-pooled node heaps + recycled packet
-  // buffers (default) vs general-purpose allocation everywhere (the
-  // bench_alloc ablation baseline). Never changes simulation results.
-  bool pooling = true;
-  // Time-queue structure for the serial machine's ready set and the
-  // network's per-destination queues: bucketed calendar queue (default) vs
-  // binary-heap ablation (ABCLSIM_QUEUE=heap). Pop order is identical —
-  // results never change.
-  util::QueueKind queue = util::QueueKind::kBucket;
-  // Barrier commit strategy for the host-parallel driver: N-way merge over
-  // worker-pre-sorted outbox runs (default) vs the old coordinator-side
-  // global sort ablation (ABCLSIM_FLUSH=sort). Commit order is identical —
-  // results never change.
-  net::FlushKind flush = net::FlushKind::kMerge;
   // Window policy of the host-parallel driver: flat global lookahead
   // (default) vs per-node distance-aware horizons (ABCLSIM_HORIZON=
   // distance; see sim/lookahead.hpp). Fewer barriers on torus workloads —
@@ -90,19 +76,15 @@ struct WorldConfig {
   // run() hands control back at the boundary with
   // StopReason::kCheckpointRequested so the caller captures via
   // World::checkpoint. Either way node heaps are placed in fixed-base
-  // reserved arenas so a restored world is address-faithful. Requires
-  // pooling (the reserved-arena heap). Set via with_ckpt(), or
-  // ABCLSIM_CHECKPOINT through from_env().
+  // reserved arenas so a restored world is address-faithful. Set via
+  // with_ckpt(), or ABCLSIM_CHECKPOINT through from_env().
   ckpt::CheckpointConfig ckpt;
 
   // Builds a config with every environment-controlled knob resolved here,
   // once, strictly: ABCLSIM_HOST_THREADS (see parse_host_threads; unset ->
   // serial, recorded as host_threads = -1 so the result never re-consults
-  // the environment), ABCLSIM_POOLING (unset/1/true/on -> pooled,
-  // 0/false/off -> ablation baseline), ABCLSIM_QUEUE (unset/bucket or
-  // heap), ABCLSIM_FLUSH (unset/merge or sort), ABCLSIM_HORIZON
-  // (unset/global or distance), ABCLSIM_SHARD (unset/static or balanced)
-  // and ABCLSIM_FAULTS (unset or
+  // the environment), ABCLSIM_HORIZON (unset/global or distance),
+  // ABCLSIM_SHARD (unset/static or balanced) and ABCLSIM_FAULTS (unset or
   // "off" -> no faults; otherwise a strict net::parse_fault_spec string
   // like "drop=0.05,dup=0.01,seed=7") and ABCLSIM_MIGRATION (unset or "off"
   // -> no migration; otherwise a strict remote::parse_migration_spec string
@@ -125,9 +107,6 @@ struct WorldConfig {
   }
   WorldConfig& with_seed(std::uint64_t s) { seed = s; return *this; }
   WorldConfig& with_host_threads(int t) { host_threads = t; return *this; }
-  WorldConfig& with_pooling(bool on) { pooling = on; return *this; }
-  WorldConfig& with_queue(util::QueueKind q) { queue = q; return *this; }
-  WorldConfig& with_flush(net::FlushKind f) { flush = f; return *this; }
   WorldConfig& with_horizon(sim::HorizonKind h) { horizon = h; return *this; }
   WorldConfig& with_shard(sim::ShardKind s) { shard = s; return *this; }
   WorldConfig& with_faults(const net::FaultConfig& f) {

@@ -25,6 +25,7 @@
 // when it ships resume entries as raw words.
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "abcl/machine_api.hpp"
@@ -41,6 +42,28 @@ std::uint64_t ptr_word(const void* p) {
 template <class T>
 T* word_ptr(std::uint64_t w) {
   return reinterpret_cast<T*>(w);
+}
+
+// Upper bound on a restored world's node count. The node word sizes every
+// per-node structure restore builds (queues, the channel matrix, one
+// reserved 64 MiB arena per node), so an implausible count dies here
+// instead of as an allocation failure mid-restore.
+constexpr std::uint32_t kMaxRestoreNodes = 1024;
+
+std::string bad_field(const char* field, std::uint32_t v) {
+  return std::string("checkpoint restore: bad ") + field + " " +
+         std::to_string(v);
+}
+
+// Decodes a u32-coded enum whose valid values are [0, last]. A well-framed
+// snapshot (checksum intact) can still carry an out-of-range word; catching
+// it here beats an unreachable-branch abort deep inside a later run.
+template <class E>
+E read_enum(Reader& r, const char* field, E last) {
+  const std::uint32_t v = r.u32();
+  ABCL_CHECK_MSG(v <= static_cast<std::uint32_t>(last),
+                 bad_field(field, v).c_str());
+  return static_cast<E>(v);
 }
 
 }  // namespace
@@ -76,9 +99,6 @@ struct WorldIo {
     w.u32(static_cast<std::uint32_t>(cfg.placement));
     w.u64(cfg.seed);
     w.i64(cfg.host_threads);
-    w.b(cfg.pooling);
-    w.u32(static_cast<std::uint32_t>(cfg.queue));
-    w.u32(static_cast<std::uint32_t>(cfg.flush));
     w.raw(cfg.faults);
     w.raw(cfg.migration);
     w.b(cfg.ckpt.enabled);
@@ -99,25 +119,24 @@ struct WorldIo {
 
   static void load(Reader& r, World& world, int host_threads_override) {
     WorldConfig& cfg = world.cfg_;
-    cfg.nodes = static_cast<std::int32_t>(r.u32());
-    ABCL_CHECK_MSG(cfg.nodes >= 1,
-                   "checkpoint restore: snapshot carries no nodes");
-    cfg.topology = static_cast<net::TopologyKind>(r.u32());
+    const std::uint32_t nodes = r.u32();
+    ABCL_CHECK_MSG(nodes >= 1 && nodes <= kMaxRestoreNodes,
+                   bad_field("nodes", nodes).c_str());
+    cfg.nodes = static_cast<std::int32_t>(nodes);
+    cfg.topology = read_enum(r, "topology", net::TopologyKind::kHypercube);
     r.raw_into(cfg.cost);
     r.raw_into(cfg.node);
-    cfg.placement = static_cast<remote::PlacementKind>(r.u32());
+    cfg.placement =
+        read_enum(r, "placement", remote::PlacementKind::kLeastLoaded);
     cfg.seed = r.u64();
     cfg.host_threads = static_cast<int>(r.i64());
-    cfg.pooling = r.b();
-    cfg.queue = static_cast<util::QueueKind>(r.u32());
-    cfg.flush = static_cast<net::FlushKind>(r.u32());
     r.raw_into(cfg.faults);
     r.raw_into(cfg.migration);
     cfg.ckpt.enabled = r.b();
     cfg.ckpt.at = r.u64();
     cfg.ckpt.path = r.str();
-    cfg.horizon = static_cast<sim::HorizonKind>(r.u32());
-    cfg.shard = static_cast<sim::ShardKind>(r.u32());
+    cfg.horizon = read_enum(r, "horizon", sim::HorizonKind::kDistance);
+    cfg.shard = read_enum(r, "shard", sim::ShardKind::kBalanced);
     if (host_threads_override != 0) cfg.host_threads = host_threads_override;
     world.quanta_total_ = r.u64();
     world.resumed_quanta_ = world.quanta_total_;
@@ -128,8 +147,7 @@ struct WorldIo {
 
     world.net_ = std::make_unique<net::Network>(
         net::Topology(cfg.topology, cfg.nodes), &cfg.cost,
-        std::function<void(core::NodeId)>{}, cfg.pooling, cfg.queue,
-        cfg.flush, cfg.faults);
+        std::function<void(core::NodeId)>{}, cfg.faults);
     load_network(r, *world.net_);
 
     world.nodes_.reserve(static_cast<std::size_t>(cfg.nodes));
@@ -138,7 +156,6 @@ struct WorldIo {
       // arena at the recorded base.
       core::NodeRuntime::Config nc = cfg.node;
       nc.seed = cfg.seed;
-      nc.pooling = cfg.pooling;
       nc.migration = cfg.migration;
       if (nc.migration.enabled && nc.gossip_interval == 0) {
         nc.gossip_interval = nc.migration.interval;
@@ -311,8 +328,6 @@ struct WorldIo {
 
     // Slab allocator: freelist chains live inside the arena image; only the
     // per-class heads and bump cursors live out here.
-    ABCL_CHECK_MSG(rt.pool_.heap_head_ == nullptr,
-                   "checkpoint: unpooled heap blocks present");
     for (std::size_t c = 0; c < util::SlabAllocator::kNumClasses; ++c) {
       w.u64(ptr_word(rt.pool_.free_[c]));
       w.u64(ptr_word(rt.pool_.fresh_[c]));

@@ -22,7 +22,7 @@ NodeRuntime::NodeRuntime(NodeId id, Program& prog, net::Network& net,
       cm_(&cm),
       cfg_(cfg),
       arena_(64u << 10, cfg.reserved_arena ? cfg.arena_base : 0),
-      pool_(arena_, cfg.pooling),
+      pool_(arena_),
       rng_(cfg.seed * 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(id) + 1) {
   ABCL_CHECK_MSG(prog.finalized(), "Program must be finalized before nodes start");
 }
@@ -33,8 +33,7 @@ NodeRuntime::~NodeRuntime() {
       o->cls->destruct(o->state());
     }
   }
-  // Pooled memory dies with the arena; the slab allocator frees any
-  // unpooled-mode blocks still outstanding.
+  // Slab memory dies with the arena.
 }
 
 // ----------------------------------------------------------------------------

@@ -32,20 +32,16 @@ void Network::Stats::merge(const Stats& o) {
 }
 
 Network::Network(Topology topology, const sim::CostModel* cm,
-                 std::function<void(NodeId)> on_deliverable, bool pooling,
-                 util::QueueKind queue, FlushKind flush, FaultConfig faults)
+                 std::function<void(NodeId)> on_deliverable,
+                 FaultConfig faults)
     : topology_(topology),
       cm_(cm),
       on_deliverable_(std::move(on_deliverable)),
-      queues_(static_cast<std::size_t>(topology_.num_nodes()),
-              DstQueue(queue)),
+      queues_(static_cast<std::size_t>(topology_.num_nodes())),
       use_matrix_(topology_.num_nodes() <= kMatrixNodeLimit),
       src_seq_(static_cast<std::size_t>(topology_.num_nodes()), 0),
       outboxes_(static_cast<std::size_t>(topology_.num_nodes()), nullptr),
-      queue_kind_(queue),
-      flush_(flush),
       flush_touched_mark_(static_cast<std::size_t>(topology_.num_nodes()), 0),
-      pool_(pooling),
       poll_mags_(static_cast<std::size_t>(topology_.num_nodes()), nullptr) {
   ABCL_CHECK(cm_ != nullptr);
   ABCL_CHECK_MSG(cm_->wire_latency + cm_->per_hop > 0,
@@ -65,18 +61,6 @@ Network::Network(Topology topology, const sim::CostModel* cm,
       link_seq_matrix_.assign(channel_matrix_.size(), 0);
     }
     dst_fault_.resize(static_cast<std::size_t>(topology_.num_nodes()));
-  }
-}
-
-Network::~Network() {
-  // Packets still queued at teardown (worlds are routinely dropped before
-  // quiescence in tests) hold pool slots; hand them back so the unpooled
-  // mode stays leak-free under ASan.
-  for (auto& q : queues_) {
-    while (!q.empty()) {
-      pool_.release(home_mag_, q.top().slot);
-      q.pop();
-    }
   }
 }
 
@@ -275,11 +259,7 @@ void Network::set_outbox(NodeId src, Outbox* ob) {
 
 void Network::flush_outboxes(Outbox* const* boxes, std::size_t nboxes) {
   flush_active_ = true;
-  if (flush_ == FlushKind::kMerge) {
-    flush_merge(boxes, nboxes);
-  } else {
-    flush_sort(boxes, nboxes);
-  }
+  flush_merge(boxes, nboxes);
   for (std::size_t i = 0; i < nboxes; ++i) {
     boxes[i]->items_.clear();
     boxes[i]->sorted_ = true;
@@ -292,26 +272,6 @@ void Network::flush_outboxes(Outbox* const* boxes, std::size_t nboxes) {
     if (on_deliverable_) on_deliverable_(dst);
   }
   flush_touched_.clear();
-}
-
-// The historical commit path: gather everything, one global stable sort.
-void Network::flush_sort(Outbox* const* boxes, std::size_t nboxes) {
-  merge_.clear();
-  for (std::size_t i = 0; i < nboxes; ++i) {
-    for (Outbox::Item& it : boxes[i]->items_) merge_.push_back(std::move(it));
-  }
-  // Canonical order: (quantum key, src) ascending; a stable sort keeps each
-  // source's program order, since one source lives in exactly one outbox.
-  std::stable_sort(merge_.begin(), merge_.end(),
-                   [](const Outbox::Item& a, const Outbox::Item& b) {
-                     if (a.key != b.key) return a.key < b.key;
-                     return a.pkt.src < b.pkt.src;
-                   });
-  for (Outbox::Item& it : merge_) {
-    commit_key_ = it.key;
-    commit(std::move(it.pkt), it.cat);
-  }
-  merge_.clear();
 }
 
 void Network::set_windowed_stats(bool on) {

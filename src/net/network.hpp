@@ -27,8 +27,7 @@
 // (quantum key, src) order in parallel before the barrier
 // (Outbox::sort_canonical), so the coordinator-side flush only runs an
 // N-way loser-tree merge over pre-sorted runs — O(M log N) with N = worker
-// count instead of the former O(M log M) global stable_sort
-// (FlushKind::kSort, kept as a byte-compared ablation). Deliverability
+// count instead of an O(M log M) global stable_sort. Deliverability
 // wakeups are batched: instead of one on_deliverable(dst) per committed
 // packet, flush_outboxes runs a single deduplicated rekey pass per
 // destination after all commits — equivalent, because a destination's
@@ -66,12 +65,6 @@ struct WorldIo;
 }
 
 namespace abcl::net {
-
-// How flush_outboxes reconstructs canonical commit order: kMerge (default)
-// loser-tree-merges the workers' pre-sorted runs; kSort is the historical
-// coordinator-side global stable_sort, kept as an ablation baseline
-// (ABCLSIM_FLUSH=sort). Results are byte-identical either way.
-enum class FlushKind { kMerge, kSort };
 
 class Network {
  public:
@@ -116,20 +109,13 @@ class Network {
   };
 
   // on_deliverable(dst) fires whenever a packet is enqueued toward dst; the
-  // machine driver uses it to re-key the node in its ready heap. `pooling`
-  // selects recycled packet slots (default) vs per-send heap allocation
-  // (the bench_alloc ablation baseline); results are identical either way.
-  // `faults` installs a deterministic FaultPlan (see net/fault.hpp); the
-  // default disabled config leaves every commit/poll path byte-identical to
-  // a fault-free network.
+  // machine driver uses it to re-key the node in its ready heap. `faults`
+  // installs a deterministic FaultPlan (see net/fault.hpp); the default
+  // disabled config leaves every commit/poll path byte-identical to a
+  // fault-free network.
   Network(Topology topology, const sim::CostModel* cm,
-          std::function<void(NodeId)> on_deliverable = {}, bool pooling = true,
-          util::QueueKind queue = util::QueueKind::kBucket,
-          FlushKind flush = FlushKind::kMerge, FaultConfig faults = {});
-  ~Network();
-
-  FlushKind flush_kind() const { return flush_; }
-  util::QueueKind queue_kind() const { return queue_kind_; }
+          std::function<void(NodeId)> on_deliverable = {},
+          FaultConfig faults = {});
 
   void set_on_deliverable(std::function<void(NodeId)> fn) {
     on_deliverable_ = std::move(fn);
@@ -148,10 +134,10 @@ class Network {
 
   // Commits every buffered send in canonical order — ascending (quantum
   // key, src), preserving each source's program order — which is exactly
-  // the order the serial driver would have issued them. Under kMerge,
-  // boxes already in canonical order (sort_canonical) are k-way merged;
-  // unsorted boxes are sorted here first. Fires on_deliverable at most
-  // once per destination, after all commits.
+  // the order the serial driver would have issued them. Boxes already in
+  // canonical order (sort_canonical) are k-way merged; unsorted boxes are
+  // sorted here first. Fires on_deliverable at most once per destination,
+  // after all commits.
   void flush_outboxes(Outbox* const* boxes, std::size_t nboxes);
 
   // Windowed-commit mode for per-node-horizon windows. Under distance-aware
@@ -248,7 +234,7 @@ class Network {
     sim::Instr operator()(const QueuedPacket& q) const { return q.arrive; }
   };
   // Delivery order: ascending (arrive, src, seq) — a strict total order
-  // (seqs are unique per src), so bucket and heap modes pop identically.
+  // (seqs are unique per src), so the pop order is fully determined.
   struct PacketOrder {
     bool operator()(const QueuedPacket& a, const QueuedPacket& b) const {
       if (a.arrive != b.arrive) return a.arrive < b.arrive;
@@ -268,7 +254,6 @@ class Network {
   // in-flight, and record/fire the deliverability wakeup.
   void enqueue_copy(const Packet& p, sim::Instr arrive);
   void flush_merge(Outbox* const* boxes, std::size_t nboxes);
-  void flush_sort(Outbox* const* boxes, std::size_t nboxes);
 
   Topology topology_;
   const sim::CostModel* cm_;
@@ -281,9 +266,6 @@ class Network {
   bool use_matrix_;
   std::vector<std::uint64_t> src_seq_;
   std::vector<Outbox*> outboxes_;     // per-src redirect; nullptr = direct
-  util::QueueKind queue_kind_;
-  FlushKind flush_;
-  std::vector<Outbox::Item> merge_;   // kSort flush scratch (reused)
   // Batched-wakeup scratch: destinations touched by the current flush, in
   // first-commit (canonical) order, deduplicated via the mark vector.
   bool flush_active_ = false;

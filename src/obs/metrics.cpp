@@ -112,7 +112,9 @@ std::string metrics_json(const World& world, const RunReport* rep) {
   w.field("schema", kMetricsSchema);
   w.field("nodes", static_cast<std::int64_t>(world.num_nodes()));
   w.field("seed", world.config().seed);
-  w.field("pooling", world.config().pooling);
+  // Pooling is no longer optional; the literal keeps committed v2 baselines
+  // byte-identical until the next schema bump drops the field.
+  w.field("pooling", true);
 
   if (rep != nullptr) {
     w.key("run");

@@ -27,10 +27,7 @@ class ParallelMachine;
 namespace abcl::obs {
 
 // v2 adds the "pooling" flag plus per-node and total "alloc" blocks (slab
-// allocator counters — all simulated-deterministic). v1 documents remain
-// comparable as regression baselines: compare_json_files detects a
-// v1-baseline/v2-candidate pair and checks the shared counter prefix (see
-// obs/regression.hpp).
+// allocator counters — all simulated-deterministic).
 inline constexpr const char* kMetricsSchema = "abclsim-metrics-v2";
 
 // Serializes `world` (and, if non-null, the report of its last run). Safe

@@ -11,8 +11,7 @@ Driver::Driver(std::vector<NodeExec*> nodes) : nodes_(std::move(nodes)) {
   }
 }
 
-Machine::Machine(std::vector<NodeExec*> nodes, util::QueueKind queue)
-    : Driver(std::move(nodes)), heap_(queue) {
+Machine::Machine(std::vector<NodeExec*> nodes) : Driver(std::move(nodes)) {
   heap_key_.assign(nodes_.size(), kInstrInf);
 }
 

@@ -84,12 +84,7 @@ class Driver {
 
 class Machine : public Driver {
  public:
-  // `queue` selects the ready structure: the bucketed time queue (default)
-  // or the binary-heap ablation (ABCLSIM_QUEUE=heap via WorldConfig).
-  // Both pop the exact (key, node) total order, so results are
-  // byte-identical either way.
-  explicit Machine(std::vector<NodeExec*> nodes,
-                   util::QueueKind queue = util::QueueKind::kBucket);
+  explicit Machine(std::vector<NodeExec*> nodes);
 
   void notify_work(NodeId dst) override;
   RunReport run(Instr max_time = kInstrInf) override;

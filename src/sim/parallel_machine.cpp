@@ -95,11 +95,8 @@ void ParallelMachine::run_shard(Worker& w) {
   w.shard_min = shard_min;
   w.active = active;
   // Pre-sort this worker's run inside the parallel region so the barrier
-  // flush only has to merge. Skipped under the kSort ablation, which
-  // measures the old coordinator-side global sort.
-  if (net_ != nullptr && net_->flush_kind() == net::FlushKind::kMerge) {
-    w.outbox.sort_canonical();
-  }
+  // flush only has to merge.
+  w.outbox.sort_canonical();
 }
 
 void ParallelMachine::worker_main(Worker& w) {

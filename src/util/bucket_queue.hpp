@@ -23,8 +23,8 @@
 //
 // Determinism contract: pop order is the strict total order induced by
 // `Less` (whose primary component must be the key `KeyFn` extracts), so a
-// BucketQueue and a binary heap over the same pushes pop identically —
-// which is what lets ABCLSIM_QUEUE=heap serve as a byte-compared ablation.
+// BucketQueue and a binary heap over the same pushes pop identically (the
+// tests check it against std::priority_queue).
 // kInstrInf-sized keys are valid: all bucket math is overflow-safe.
 #pragma once
 
@@ -37,41 +37,21 @@
 
 namespace abcl::util {
 
-// Which algorithm backs a BucketQueue (and, via WorldConfig::queue /
-// ABCLSIM_QUEUE, every queue in a World): kBucket is the default, kHeap is
-// the std::priority_queue-equivalent ablation baseline.
-enum class QueueKind { kBucket, kHeap };
-
 // Entry: element type. KeyFn: stateless functor mapping Entry -> uint64
 // time key. Less: stateless strict-weak total order over Entry whose
 // primary component is the key (ties broken deterministically).
 template <typename Entry, typename KeyFn, typename Less>
 class BucketQueue {
  public:
-  explicit BucketQueue(QueueKind mode = QueueKind::kBucket,
-                       std::size_t nbuckets = 64)
-      : mode_(mode), nb_(nbuckets) {
+  explicit BucketQueue(std::size_t nbuckets = 64) : nb_(nbuckets) {
     ABCL_CHECK(nb_ >= 2);
   }
-
-  // Switching algorithms mid-stream would need a rebuild; restrict to the
-  // empty state, which is when drivers configure their queues anyway.
-  void set_mode(QueueKind m) {
-    ABCL_CHECK(size_ == 0);
-    mode_ = m;
-  }
-  QueueKind mode() const { return mode_; }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
   void push(Entry e) {
     ++size_;
-    if (mode_ == QueueKind::kHeap) {
-      heap_.push_back(std::move(e));
-      std::push_heap(heap_.begin(), heap_.end(), HeapCmp{});
-      return;
-    }
     bucket_push(std::move(e));
   }
 
@@ -79,7 +59,6 @@ class BucketQueue {
   // sort, cursor advance, overflow re-base) is mutable.
   const Entry& top() const {
     ABCL_DCHECK(size_ > 0);
-    if (mode_ == QueueKind::kHeap) return heap_.front();
     ensure_top();
     return ring_[cur_][active_pos_];
   }
@@ -87,11 +66,6 @@ class BucketQueue {
   void pop() {
     ABCL_DCHECK(size_ > 0);
     --size_;
-    if (mode_ == QueueKind::kHeap) {
-      std::pop_heap(heap_.begin(), heap_.end(), HeapCmp{});
-      heap_.pop_back();
-      return;
-    }
     ensure_top();
     auto& b = ring_[cur_];
     if (++active_pos_ == b.size()) {
@@ -104,7 +78,6 @@ class BucketQueue {
 
   void clear() {
     size_ = 0;
-    heap_.clear();
     for (auto& b : ring_) b.clear();
     overflow_.clear();
     ring_count_ = 0;
@@ -120,7 +93,6 @@ class BucketQueue {
   // and bucket_push clamps at-or-behind-cursor keys into the active one).
   template <class F>
   void for_each(F&& f) const {
-    for (const Entry& e : heap_) f(e);
     for (std::size_t i = 0; i < ring_.size(); ++i) {
       const std::vector<Entry>& b = ring_[i];
       for (std::size_t j = i == cur_ ? active_pos_ : 0; j < b.size(); ++j) {
@@ -131,13 +103,6 @@ class BucketQueue {
   }
 
  private:
-  // std::push_heap builds a max-heap; invert Less so the front is the min.
-  struct HeapCmp {
-    bool operator()(const Entry& a, const Entry& b) const {
-      return Less{}(b, a);
-    }
-  };
-
   // True when `k` falls inside the ring's covered span [base_, base_+span).
   // span can reach 2^64 (kInstrInf-wide re-base), hence the 128-bit compare.
   bool in_ring(std::uint64_t k) const {
@@ -236,14 +201,11 @@ class BucketQueue {
     overflow_.clear();
   }
 
-  QueueKind mode_;
   std::size_t nb_;
   std::size_t size_ = 0;
 
-  std::vector<Entry> heap_;  // kHeap mode storage
-
-  // kBucket mode. All mutable: top() is observably const but re-bases,
-  // advances the cursor and sorts lazily.
+  // All mutable: top() is observably const but re-bases, advances the
+  // cursor and sorts lazily.
   mutable std::vector<std::vector<Entry>> ring_;  // lazily sized to nb_
   mutable std::vector<Entry> overflow_;           // keys beyond the ring
   mutable std::uint64_t base_ = 0;                // ring time origin

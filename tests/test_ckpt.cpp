@@ -2,15 +2,17 @@
 // WorldConfig precedence contract (from_env + with_* overrides), stop
 // reasons, quanta accounting across a restore, snapshot determinism
 // (byte-identical re-capture), the never-a-partial-world integrity gates
-// (versioning, truncation, corrupted-byte fuzz) and the snapshot-equivalence
-// oracle: run-to-T + checkpoint + restore + continue must be byte-identical
-// to the uninterrupted run across the serial and host-parallel drivers,
-// with faults and migration both off and on — plus a crash-recovery drill
-// that loses a segment of the run and replays it from the last checkpoint.
+// (versioning, truncation, corrupted-byte fuzz, out-of-range fields) and
+// the snapshot-equivalence oracle: run-to-T + checkpoint + restore +
+// continue must be byte-identical to the uninterrupted run across the
+// serial and host-parallel drivers, with faults and migration both off and
+// on — plus a crash-recovery drill that loses a segment of the run and
+// replays it from the last checkpoint.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "abcl/machine_api.hpp"
@@ -147,19 +149,17 @@ TEST(CkptEnvDeath, GarbageAbortsWithDiagnostic) {
 // untouched, and a repeated with_* keeps the last value.
 TEST(ConfigPrecedence, EnvThenBuilderOverrideForEveryKnob) {
   ScopedEnv e1("ABCLSIM_HOST_THREADS", "3");
-  ScopedEnv e2("ABCLSIM_POOLING", "0");
-  ScopedEnv e3("ABCLSIM_QUEUE", "heap");
-  ScopedEnv e4("ABCLSIM_FLUSH", "sort");
-  ScopedEnv e5("ABCLSIM_FAULTS", "drop=0.05,seed=9");
-  ScopedEnv e6("ABCLSIM_MIGRATION", "interval=16,seed=3");
-  ScopedEnv e7("ABCLSIM_CHECKPOINT", "at=123,path=env.ck");
+  ScopedEnv e2("ABCLSIM_HORIZON", "distance");
+  ScopedEnv e3("ABCLSIM_SHARD", "balanced");
+  ScopedEnv e4("ABCLSIM_FAULTS", "drop=0.05,seed=9");
+  ScopedEnv e5("ABCLSIM_MIGRATION", "interval=16,seed=3");
+  ScopedEnv e6("ABCLSIM_CHECKPOINT", "at=123,path=env.ck");
 
   WorldConfig cfg = WorldConfig::from_env();
   // from_env() picked up every variable.
   EXPECT_EQ(cfg.host_threads, 3);
-  EXPECT_FALSE(cfg.pooling);
-  EXPECT_EQ(cfg.queue, util::QueueKind::kHeap);
-  EXPECT_EQ(cfg.flush, net::FlushKind::kSort);
+  EXPECT_EQ(cfg.horizon, sim::HorizonKind::kDistance);
+  EXPECT_EQ(cfg.shard, sim::ShardKind::kBalanced);
   EXPECT_TRUE(cfg.faults.enabled);
   EXPECT_EQ(cfg.faults.drop_ppm, 50'000u);
   EXPECT_TRUE(cfg.migration.enabled);
@@ -175,16 +175,14 @@ TEST(ConfigPrecedence, EnvThenBuilderOverrideForEveryKnob) {
   mc.enabled = true;
   mc.interval = 64;
   cfg.with_host_threads(7)
-      .with_pooling(true)
-      .with_queue(util::QueueKind::kBucket)
-      .with_flush(net::FlushKind::kMerge)
+      .with_horizon(sim::HorizonKind::kGlobal)
+      .with_shard(sim::ShardKind::kStatic)
       .with_faults(fc)
       .with_migration(mc)
       .with_ckpt(at_config(456));
   EXPECT_EQ(cfg.host_threads, 7);
-  EXPECT_TRUE(cfg.pooling);
-  EXPECT_EQ(cfg.queue, util::QueueKind::kBucket);
-  EXPECT_EQ(cfg.flush, net::FlushKind::kMerge);
+  EXPECT_EQ(cfg.horizon, sim::HorizonKind::kGlobal);
+  EXPECT_EQ(cfg.shard, sim::ShardKind::kStatic);
   EXPECT_EQ(cfg.faults.dup_ppm, 10'000u);
   EXPECT_EQ(cfg.faults.drop_ppm, 0u);
   EXPECT_EQ(cfg.migration.interval, 64u);
@@ -194,19 +192,19 @@ TEST(ConfigPrecedence, EnvThenBuilderOverrideForEveryKnob) {
 
 TEST(ConfigPrecedence, OverridingOneKnobLeavesTheOthersAlone) {
   ScopedEnv e1("ABCLSIM_HOST_THREADS", "3");
-  ScopedEnv e2("ABCLSIM_POOLING", nullptr);
-  ScopedEnv e3("ABCLSIM_QUEUE", "heap");
-  ScopedEnv e4("ABCLSIM_FLUSH", nullptr);
-  ScopedEnv e5("ABCLSIM_FAULTS", "drop=0.05,seed=9");
-  ScopedEnv e6("ABCLSIM_MIGRATION", nullptr);
-  ScopedEnv e7("ABCLSIM_CHECKPOINT", "at=123");
+  ScopedEnv e2("ABCLSIM_HORIZON", "distance");
+  ScopedEnv e3("ABCLSIM_SHARD", nullptr);
+  ScopedEnv e4("ABCLSIM_FAULTS", "drop=0.05,seed=9");
+  ScopedEnv e5("ABCLSIM_MIGRATION", nullptr);
+  ScopedEnv e6("ABCLSIM_CHECKPOINT", "at=123");
 
   WorldConfig cfg = WorldConfig::from_env().with_nodes(64).with_seed(5);
   EXPECT_EQ(cfg.nodes, 64);
   EXPECT_EQ(cfg.seed, 5u);
   // Env-derived knobs survive unrelated with_* calls.
   EXPECT_EQ(cfg.host_threads, 3);
-  EXPECT_EQ(cfg.queue, util::QueueKind::kHeap);
+  EXPECT_EQ(cfg.horizon, sim::HorizonKind::kDistance);
+  EXPECT_EQ(cfg.shard, sim::ShardKind::kStatic);
   EXPECT_TRUE(cfg.faults.enabled);
   EXPECT_TRUE(cfg.ckpt.enabled);
   EXPECT_EQ(cfg.ckpt.at, 123u);
@@ -219,16 +217,6 @@ TEST(ConfigPrecedence, OverridingOneKnobLeavesTheOthersAlone) {
 }
 
 // ------------------------------------------------- world-level contract ----
-
-TEST(CkptWorldDeath, CheckpointingRequiresPooling) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  core::Program prog;
-  fuzz::register_interp(prog);
-  prog.finalize();
-  WorldConfig cfg;
-  cfg.with_pooling(false).with_ckpt(at_config(100));
-  EXPECT_DEATH({ World w(prog, cfg); }, "requires pooling");
-}
 
 TEST(CkptWorldDeath, CheckpointWithoutConfigDies) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -265,7 +253,6 @@ TEST(CkptWorld, ResumedQuantaAccountingAcrossRestore) {
   const std::uint64_t at = base.sim_time / 2 + 1;
 
   fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(),
-                     util::QueueKind::kBucket, net::FlushKind::kMerge,
                      sim::HorizonKind::kGlobal, sim::ShardKind::kStatic,
                      at_config(at));
   RunReport r1 = fw.world().run();
@@ -299,7 +286,6 @@ TEST(CkptWorld, FileCheckpointIsTransparentAndRecaptureRoundTrips) {
   // boundary and resumes inside the same run() call, so a
   // checkpoint-unaware caller sees the uninterrupted run's results.
   fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(),
-                     util::QueueKind::kBucket, net::FlushKind::kMerge,
                      sim::HorizonKind::kGlobal, sim::ShardKind::kStatic, ck);
   RunReport r1 = fw.world().run();
   EXPECT_EQ(r1.stop_reason, StopReason::kQuiesced);
@@ -330,7 +316,7 @@ TEST(CkptWorld, FileCheckpointIsTransparentAndRecaptureRoundTrips) {
 }
 
 TEST(CkptWorld, SnapshotCarriesWindowAndShardPolicies) {
-  // v2 snapshots record the horizon/shard knobs: a world checkpointed under
+  // Snapshots record the horizon/shard knobs: a world checkpointed under
   // (distance, balanced) restores under (distance, balanced) even when the
   // restore overrides the thread count — the override swaps the driver
   // width, never the policy.
@@ -339,8 +325,7 @@ TEST(CkptWorld, SnapshotCarriesWindowAndShardPolicies) {
   const std::uint64_t at = base.sim_time / 2 + 1;
 
   fuzz::FuzzWorld fw(spec, /*host_threads=*/8, nullptr,
-                     sim::CostModel::ap1000(), util::QueueKind::kBucket,
-                     net::FlushKind::kMerge, sim::HorizonKind::kDistance,
+                     sim::CostModel::ap1000(), sim::HorizonKind::kDistance,
                      sim::ShardKind::kBalanced, at_config(at));
   RunReport r1 = fw.world().run();
   EXPECT_EQ(r1.stop_reason, StopReason::kCheckpointRequested);
@@ -369,7 +354,6 @@ std::string snapshot_bytes(std::uint64_t seed) {
   const fuzz::Spec spec = fuzz::generate(seed);
   const fuzz::RunResult base = fuzz::run_spec(spec, kSerial);
   fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(),
-                     util::QueueKind::kBucket, net::FlushKind::kMerge,
                      sim::HorizonKind::kGlobal, sim::ShardKind::kStatic,
                      at_config(base.sim_time / 2 + 1));
   fw.world().run();
@@ -430,6 +414,32 @@ TEST(CkptIntegrityDeath, CorruptedPayloadBytesNeverBuildAWorld) {
     s[40 + (payload - 1) * frac / 4] ^= 0x5a;
     expect_restore_death(s, "checksum mismatch");
   }
+}
+
+// Overwrites the u32 config word at `payload_off` and re-seals the checksum,
+// so the stream passes every framing gate and only field validation can
+// reject it.
+std::string with_config_word(std::string bytes, std::size_t payload_off,
+                             std::uint32_t v) {
+  constexpr std::size_t kHeader = 40;
+  constexpr std::size_t kChecksumOff = 32;
+  std::memcpy(&bytes[kHeader + payload_off], &v, sizeof v);
+  const std::uint64_t sum =
+      ckpt::fnv1a(bytes.data() + kHeader, bytes.size() - kHeader);
+  std::memcpy(&bytes[kChecksumOff], &sum, sizeof sum);
+  return bytes;
+}
+
+TEST(CkptIntegrityDeath, OutOfRangeConfigFieldsAreRejectedOnDecode) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string bytes = snapshot_bytes(4);
+  // The payload opens with the node count, then the topology word.
+  expect_restore_death(with_config_word(bytes, 4, 200),
+                       "checkpoint restore: bad topology 200");
+  expect_restore_death(with_config_word(bytes, 0, 0),
+                       "checkpoint restore: bad nodes 0");
+  expect_restore_death(with_config_word(bytes, 0, 1025),
+                       "checkpoint restore: bad nodes 1025");
 }
 
 TEST(CkptIntegrityDeath, DifferentProgramIsRejectedByFingerprint) {

@@ -78,15 +78,13 @@ void capture(World& world, const sim::Tracer& tracer, Fingerprint& fp) {
   fp.chrome_json = obs::chrome_trace_json(tracer);
 }
 
-Fingerprint run_nqueens_fp(int host_threads, int nodes, int n,
-                           bool pooling = true) {
+Fingerprint run_nqueens_fp(int host_threads, int nodes, int n) {
   core::Program prog;
   auto np = apps::register_nqueens(prog);
   prog.finalize();
   WorldConfig cfg;
   cfg.with_nodes(nodes);
   cfg.with_host_threads(host_threads);
-  cfg.with_pooling(pooling);
   World world(prog, cfg);
   sim::Tracer tracer(1u << 20);
   world.attach_tracer(&tracer);
@@ -212,24 +210,6 @@ INSTANTIATE_TEST_SUITE_P(Sweeps, NQueensCrossDriver,
                          ::testing::Values(std::tuple{16, 8}, std::tuple{64, 9},
                                            std::tuple{64, 10}));
 
-// Pooling is a host-side policy: with it disabled (general-purpose
-// allocation everywhere) the cross-driver byte-identity contract must hold
-// just the same — and the snapshots of the two modes must agree on every
-// simulated figure except the alloc/pooling fields, which is asserted
-// indirectly by both modes reproducing the same solutions/sim_time/quanta.
-TEST(PoolingAblationCrossDriver, BitIdenticalWithPoolingOff) {
-  Fingerprint serial = run_nqueens_fp(kSerial, 16, 8, /*pooling=*/false);
-  EXPECT_GT(serial.value, 0);
-  for (int t : kThreadCounts) {
-    expect_identical(serial, run_nqueens_fp(t, 16, 8, /*pooling=*/false), t);
-  }
-  Fingerprint pooled = run_nqueens_fp(kSerial, 16, 8, /*pooling=*/true);
-  EXPECT_EQ(pooled.value, serial.value);
-  EXPECT_EQ(pooled.sim_time, serial.sim_time);
-  EXPECT_EQ(pooled.quanta, serial.quanta);
-  EXPECT_EQ(pooled.packets, serial.packets);
-}
-
 // Tentpole acceptance check: any seeded FaultPlan must give byte-identical
 // metrics and trace snapshots between the serial driver and every thread
 // count — a lossy network is just more simulated state, not a source of
@@ -328,29 +308,6 @@ void expect_run_identical(const fuzz::RunResult& base,
   EXPECT_EQ(alt.created, base.created);
   EXPECT_TRUE(alt.per_node == base.per_node);
   ASSERT_EQ(alt.metrics_json, base.metrics_json);
-}
-
-TEST(FlushAndQueueAblations, ByteIdenticalOnFuzzCorpus) {
-  using util::QueueKind;
-  using net::FlushKind;
-  const sim::CostModel cost = sim::CostModel::ap1000();
-  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    fuzz::Spec spec = fuzz::generate(seed);
-    // Baseline: serial driver, default bucket queue + merge flush.
-    fuzz::RunResult base = fuzz::run_spec(spec, kSerial, cost);
-    expect_run_identical(
-        base, fuzz::run_spec(spec, kSerial, cost, QueueKind::kHeap),
-        "serial, heap-queue ablation");
-    expect_run_identical(
-        base,
-        fuzz::run_spec(spec, 8, cost, QueueKind::kBucket, FlushKind::kSort),
-        "8 threads, global-sort flush ablation");
-    expect_run_identical(
-        base,
-        fuzz::run_spec(spec, 8, cost, QueueKind::kHeap, FlushKind::kMerge),
-        "8 threads, heap-queue + merge flush");
-  }
 }
 
 // Tentpole acceptance: a seeded shedding policy must be bit-identical
@@ -452,28 +409,6 @@ TEST(HostThreads, ParserRejectsGarbageZeroAndNegative) {
   reject("1025", "implausibly large");
   reject("99999999999999999999", "implausibly large");  // no overflow UB
   reject(" ", "blank");
-}
-
-TEST(EnvKnobs, QueueAndFlushSelection) {
-  ASSERT_EQ(setenv("ABCLSIM_QUEUE", "heap", 1), 0);
-  ASSERT_EQ(setenv("ABCLSIM_FLUSH", "sort", 1), 0);
-  WorldConfig cfg = WorldConfig::from_env();
-  EXPECT_EQ(cfg.queue, util::QueueKind::kHeap);
-  EXPECT_EQ(cfg.flush, net::FlushKind::kSort);
-  {
-    core::Program prog;
-    apps::register_pingpong(prog);
-    prog.finalize();
-    cfg.with_nodes(2);
-    World world(prog, cfg);
-    EXPECT_EQ(world.network().queue_kind(), util::QueueKind::kHeap);
-    EXPECT_EQ(world.network().flush_kind(), net::FlushKind::kSort);
-  }
-  ASSERT_EQ(unsetenv("ABCLSIM_QUEUE"), 0);
-  ASSERT_EQ(unsetenv("ABCLSIM_FLUSH"), 0);
-  cfg = WorldConfig::from_env();
-  EXPECT_EQ(cfg.queue, util::QueueKind::kBucket);
-  EXPECT_EQ(cfg.flush, net::FlushKind::kMerge);
 }
 
 }  // namespace

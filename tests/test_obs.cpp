@@ -464,53 +464,18 @@ TEST(Regression, FileCompareRoundTrip) {
   EXPECT_FALSE(obs::compare_json_files(dir + "/absent.json", cand, 0.0).ok());
 }
 
-TEST(Regression, AcceptsV1MetricsBaselineAgainstV2Candidate) {
-  // A committed v1 metrics baseline must stay green against the v2 schema:
-  // the shared counter prefix is compared exactly, the v2-only additions
-  // (alloc blocks, "pooling") are tolerated, and "schema"/"heap_bytes" are
-  // ignored for this pairing only.
-  std::string dir = ::testing::TempDir();
-  std::string base = dir + "/obs_v1_base.json";
-  std::string cand = dir + "/obs_v2_cand.json";
-  ASSERT_TRUE(obs::write_file(base, R"({
-    "schema": "abclsim-metrics-v1", "nodes": 4,
-    "totals": {"remote_recv": 10, "heap_bytes": 4096}})"));
-  ASSERT_TRUE(obs::write_file(cand, R"({
-    "schema": "abclsim-metrics-v2", "nodes": 4, "pooling": true,
-    "totals": {"remote_recv": 10, "heap_bytes": 65536,
-               "alloc": {"allocs": 7, "frees": 7}}})"));
-  EXPECT_TRUE(obs::compare_json_files(base, cand, 0.0).ok());
-  // Shared counters are still gated: drift in the prefix fails.
-  ASSERT_TRUE(obs::write_file(cand, R"({
-    "schema": "abclsim-metrics-v2", "nodes": 4, "pooling": true,
-    "totals": {"remote_recv": 11, "heap_bytes": 65536,
-               "alloc": {"allocs": 7, "frees": 7}}})"));
-  EXPECT_FALSE(obs::compare_json_files(base, cand, 0.0).ok());
-  // So is a key the candidate dropped.
-  ASSERT_TRUE(obs::write_file(cand, R"({
-    "schema": "abclsim-metrics-v2", "pooling": true,
-    "totals": {"remote_recv": 10, "heap_bytes": 65536}})"));
-  EXPECT_FALSE(obs::compare_json_files(base, cand, 0.0).ok());
-}
-
-TEST(Regression, ExtraCandidateKeysStayStrictOutsideV1Compat) {
-  // The relaxation is scoped to the v1-baseline/v2-candidate pairing; a
-  // same-schema pair (every BENCH_*.json comparison) is still strict about
-  // keys appearing out of nowhere.
+TEST(Regression, ExtraCandidateKeyIsADrift) {
+  // Comparison is strict both ways: a key appearing out of nowhere in the
+  // candidate is a drift, just like a key vanishing from it.
   std::string dir = ::testing::TempDir();
   std::string base = dir + "/obs_strict_base.json";
   std::string cand = dir + "/obs_strict_cand.json";
   ASSERT_TRUE(obs::write_file(base, R"({"quanta": 100})"));
   ASSERT_TRUE(obs::write_file(cand, R"({"quanta": 100, "extra": 1})"));
-  EXPECT_FALSE(obs::compare_json_files(base, cand, 0.0).ok());
-  // The opt-in knob exists for callers that want the relaxed mode directly.
-  obs::CompareOptions opts;
-  opts.tol_pct = 0.0;
-  opts.allow_candidate_extra_keys = true;
-  EXPECT_TRUE(obs::compare_json(*obs::parse_json(R"({"quanta": 100})"),
-                                *obs::parse_json(R"({"quanta": 100, "x": 1})"),
-                                opts)
-                  .ok());
+  obs::CompareResult r = obs::compare_json_files(base, cand, 0.0);
+  ASSERT_EQ(r.drifts.size(), 1u);
+  EXPECT_EQ(r.drifts[0].path, "extra");
+  EXPECT_EQ(r.drifts[0].detail, "not present in baseline");
 }
 
 }  // namespace

@@ -200,39 +200,6 @@ TEST(Slab, StatsMergeCoversEveryField) {
   EXPECT_EQ(total.backing_bytes, 2 * pool.stats().backing_bytes);
 }
 
-TEST(SlabUnpooled, HeapModeAllocatesAndTracksCounters) {
-  Arena a;
-  SlabAllocator pool(a, /*pooled=*/false);
-  EXPECT_FALSE(pool.pooled());
-  std::vector<void*> ps;
-  for (int i = 0; i < 64; ++i) {
-    void* p = pool.allocate(48);
-    std::memset(p, 0xCD, 48);  // must be fully usable
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) %
-                  SlabAllocator::kMaxAlignment,
-              0u);
-    ps.push_back(p);
-  }
-  EXPECT_EQ(pool.live_count(), 64u);
-  // No slab machinery in heap mode; the arena is untouched.
-  EXPECT_EQ(pool.stats().slab_refills, 0u);
-  EXPECT_EQ(pool.stats().freelist_hits, 0u);
-  EXPECT_EQ(a.bytes_allocated(), 0u);
-  for (void* p : ps) pool.deallocate(p, 48);
-  EXPECT_EQ(pool.live_count(), 0u);
-}
-
-TEST(SlabUnpooled, TeardownFreesOutstandingBlocks) {
-  // Destroying the allocator with live blocks must not leak (ASan-checked)
-  // — worlds are routinely dropped while objects are still live.
-  Arena a;
-  SlabAllocator pool(a, /*pooled=*/false);
-  for (int i = 0; i < 16; ++i) pool.allocate(128);
-  void* mid = pool.allocate(128);
-  pool.deallocate(mid, 128);  // unlink from the middle of the header list
-  for (int i = 0; i < 16; ++i) pool.allocate(1u << 12);
-}
-
 // ------------------------------------------------------ IntrusiveFifo ------
 
 struct Node {
@@ -575,46 +542,52 @@ struct BqGreater {
 using RefQueue =
     std::priority_queue<BqEntry, std::vector<BqEntry>, BqGreater>;
 
-TEST(BucketQueue, PopsInKeyThenIdOrder) {
-  for (QueueKind mode : {QueueKind::kBucket, QueueKind::kHeap}) {
-    Bq q(mode);
-    q.push({30, 1});
-    q.push({10, 2});
-    q.push({20, 3});
-    q.push({10, 1});
-    ASSERT_EQ(q.size(), 4u);
-    EXPECT_EQ(q.top(), (BqEntry{10, 1}));
+// Pops both queues to empty, checking they agree at every step.
+void expect_drains_identically(Bq& q, RefQueue& ref) {
+  while (!ref.empty()) {
+    ASSERT_EQ(q.top(), ref.top());
     q.pop();
-    EXPECT_EQ(q.top(), (BqEntry{10, 2}));
-    q.pop();
-    EXPECT_EQ(q.top(), (BqEntry{20, 3}));
-    q.pop();
-    EXPECT_EQ(q.top(), (BqEntry{30, 1}));
-    q.pop();
-    EXPECT_TRUE(q.empty());
+    ref.pop();
   }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(BucketQueue, PopsInKeyThenIdOrder) {
+  Bq q;
+  q.push({30, 1});
+  q.push({10, 2});
+  q.push({20, 3});
+  q.push({10, 1});
+  ASSERT_EQ(q.size(), 4u);
+  EXPECT_EQ(q.top(), (BqEntry{10, 1}));
+  q.pop();
+  EXPECT_EQ(q.top(), (BqEntry{10, 2}));
+  q.pop();
+  EXPECT_EQ(q.top(), (BqEntry{20, 3}));
+  q.pop();
+  EXPECT_EQ(q.top(), (BqEntry{30, 1}));
+  q.pop();
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(BucketQueue, TieBreakIsDeterministicAcrossInsertionOrders) {
-  // All-equal keys must drain in id order regardless of push order or mode.
+  // All-equal keys must drain in id order regardless of push order.
   std::vector<std::int32_t> order = {7, 2, 9, 0, 5, 3, 8, 1, 6, 4};
-  for (QueueKind mode : {QueueKind::kBucket, QueueKind::kHeap}) {
-    Bq q(mode);
-    for (std::int32_t id : order) q.push({42, id});
-    for (std::int32_t want = 0; want < 10; ++want) {
-      EXPECT_EQ(q.top(), (BqEntry{42, want}));
-      q.pop();
-    }
+  Bq q;
+  for (std::int32_t id : order) q.push({42, id});
+  for (std::int32_t want = 0; want < 10; ++want) {
+    EXPECT_EQ(q.top(), (BqEntry{42, want}));
+    q.pop();
   }
 }
 
-// Interleaved random pushes/pops against std::priority_queue, across a key
-// distribution that exercises monotone drift, far-future jumps (overflow
-// tier + rebase) and late pushes below the active bucket.
+// Interleaved random pushes/pops against std::priority_queue, across key
+// streams that exercise monotone drift, far-future jumps (overflow tier +
+// rebase) and late pushes below the active bucket.
 TEST(BucketQueue, RandomizedEquivalenceVsPriorityQueue) {
   for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     Xoshiro256 rng(seed);
-    Bq q(QueueKind::kBucket);
+    Bq q;
     RefQueue ref;
     std::uint64_t front = 0;  // drifting time front
     std::int32_t next_id = 0;
@@ -638,42 +611,30 @@ TEST(BucketQueue, RandomizedEquivalenceVsPriorityQueue) {
       }
       ASSERT_EQ(q.size(), ref.size());
     }
-    while (!ref.empty()) {
-      ASSERT_EQ(q.top(), ref.top());
-      q.pop();
-      ref.pop();
-    }
-    EXPECT_TRUE(q.empty());
+    expect_drains_identically(q, ref);
   }
-}
-
-TEST(BucketQueue, BucketAndHeapModesPopIdentically) {
+  // Monotone drift with 1-in-50 jumps of +2^24 into the overflow tier.
   Xoshiro256 rng(99);
-  Bq a(QueueKind::kBucket);
-  Bq b(QueueKind::kHeap);
+  Bq q;
+  RefQueue ref;
   std::uint64_t t = 0;
   for (int i = 0; i < 5000; ++i) {
     t += rng.below(32);
     BqEntry e{rng.below(50) == 0 ? t + (1u << 24) : t,
               static_cast<std::int32_t>(i)};
-    a.push(e);
-    b.push(e);
+    q.push(e);
+    ref.push(e);
     if (rng.below(3) == 0) {
-      ASSERT_EQ(a.top(), b.top()) << "i=" << i;
-      a.pop();
-      b.pop();
+      ASSERT_EQ(q.top(), ref.top()) << "i=" << i;
+      q.pop();
+      ref.pop();
     }
   }
-  while (!a.empty()) {
-    ASSERT_EQ(a.top(), b.top());
-    a.pop();
-    b.pop();
-  }
-  EXPECT_TRUE(b.empty());
+  expect_drains_identically(q, ref);
 }
 
 TEST(BucketQueue, LatePushBelowActiveBucketStaysExact) {
-  Bq q(QueueKind::kBucket);
+  Bq q;
   for (std::uint64_t k = 100; k < 150; ++k) q.push({k, 0});
   // Drain partway so the active bucket has a consumed prefix.
   for (int i = 0; i < 20; ++i) q.pop();
@@ -695,29 +656,27 @@ TEST(BucketQueue, LatePushBelowActiveBucketStaysExact) {
 TEST(BucketQueue, InfinityKeysAndFullSpanRebase) {
   // kInstrInf-magnitude keys plus key 0 force the widest possible rebase
   // (span ~2^64); all arithmetic must stay overflow-safe.
-  for (QueueKind mode : {QueueKind::kBucket, QueueKind::kHeap}) {
-    Bq q(mode);
-    q.push({kInf, 1});
-    q.push({0, 2});
-    q.push({kInf - 1, 3});
-    q.push({kInf, 0});
-    q.push({1u << 31, 4});
-    EXPECT_EQ(q.top(), (BqEntry{0, 2}));
-    q.pop();
-    EXPECT_EQ(q.top(), (BqEntry{std::uint64_t{1} << 31, 4}));
-    q.pop();
-    EXPECT_EQ(q.top(), (BqEntry{kInf - 1, 3}));
-    q.pop();
-    EXPECT_EQ(q.top(), (BqEntry{kInf, 0}));
-    q.pop();
-    EXPECT_EQ(q.top(), (BqEntry{kInf, 1}));
-    q.pop();
-    EXPECT_TRUE(q.empty());
-  }
+  Bq q;
+  q.push({kInf, 1});
+  q.push({0, 2});
+  q.push({kInf - 1, 3});
+  q.push({kInf, 0});
+  q.push({1u << 31, 4});
+  EXPECT_EQ(q.top(), (BqEntry{0, 2}));
+  q.pop();
+  EXPECT_EQ(q.top(), (BqEntry{std::uint64_t{1} << 31, 4}));
+  q.pop();
+  EXPECT_EQ(q.top(), (BqEntry{kInf - 1, 3}));
+  q.pop();
+  EXPECT_EQ(q.top(), (BqEntry{kInf, 0}));
+  q.pop();
+  EXPECT_EQ(q.top(), (BqEntry{kInf, 1}));
+  q.pop();
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(BucketQueue, ClearAndReuse) {
-  Bq q(QueueKind::kBucket);
+  Bq q;
   for (std::uint64_t k = 0; k < 100; ++k) q.push({k * 1000, 0});
   q.pop();
   q.clear();
@@ -727,16 +686,6 @@ TEST(BucketQueue, ClearAndReuse) {
   EXPECT_EQ(q.top(), (BqEntry{7, 1}));
   q.pop();
   EXPECT_TRUE(q.empty());
-}
-
-TEST(BucketQueue, SetModeRequiresEmpty) {
-  Bq q(QueueKind::kBucket);
-  q.set_mode(QueueKind::kHeap);  // empty: allowed
-  q.push({1, 0});
-  EXPECT_EQ(q.mode(), QueueKind::kHeap);
-  q.pop();
-  q.set_mode(QueueKind::kBucket);
-  EXPECT_EQ(q.mode(), QueueKind::kBucket);
 }
 
 
@@ -826,18 +775,19 @@ TEST(SpecParser, SpecOffAndDiagnosticShapes) {
   EXPECT_NE(e.find("bad value"), std::string::npos);
   EXPECT_NE(e.find("expected X"), std::string::npos);
 
-  const std::string c = util::choice_error("ABCLSIM_QUEUE", "stack",
-                                           "bucket or heap", "bucket");
-  EXPECT_NE(c.find("ABCLSIM_QUEUE"), std::string::npos);
+  const std::string c = util::choice_error("ABCLSIM_SHARD", "stack",
+                                           "static or balanced", "static");
+  EXPECT_NE(c.find("ABCLSIM_SHARD"), std::string::npos);
   EXPECT_NE(c.find("stack"), std::string::npos);
 }
 
 TEST(SpecParser, ParseChoiceMatchesExactWordsOnly) {
-  EXPECT_EQ(util::parse_choice("bucket", {"bucket", "heap"}), 0u);
-  EXPECT_EQ(util::parse_choice("heap", {"bucket", "heap"}), 1u);
-  EXPECT_FALSE(util::parse_choice("buck", {"bucket", "heap"}).has_value());
-  EXPECT_FALSE(util::parse_choice("", {"bucket", "heap"}).has_value());
-  EXPECT_FALSE(util::parse_choice(nullptr, {"bucket", "heap"}).has_value());
+  EXPECT_EQ(util::parse_choice("static", {"static", "balanced"}), 0u);
+  EXPECT_EQ(util::parse_choice("balanced", {"static", "balanced"}), 1u);
+  EXPECT_FALSE(util::parse_choice("stat", {"static", "balanced"}).has_value());
+  EXPECT_FALSE(util::parse_choice("", {"static", "balanced"}).has_value());
+  EXPECT_FALSE(
+      util::parse_choice(nullptr, {"static", "balanced"}).has_value());
 }
 
 }  // namespace
