@@ -25,24 +25,23 @@
 //
 // A second workload — a hot-spot world where every migratable actor is born
 // on node 0 and the work-shedding balancer must spread them — runs serial
-// and at 8 threads with migration enabled (under both shard policies). Its
+// and at 8 threads with migration enabled. Its
 // six migration counters and final object placement are pure simulated
 // quantities, so they must match across drivers (folded into the same exit
 // gate) and are spliced into the metrics snapshot as "migration_hotspot"
 // for the regression baseline.
 //
-// Driver-policy ablations (new with the topology-aware windows):
-//  - Window policy: every parallel N-queens config also runs under
-//    ABCLSIM_HORIZON=distance semantics (cfg.with_horizon). The table gains
-//    a windows-per-run column; distance must cut windows_run by >= 25% at
-//    every P (always gated — windows_run is a simulated quantity), produce
-//    identical solutions/sim_time/quanta, and at P=64 a byte-identical
-//    metrics snapshot.
-//  - Shard policy: a clustered workload pins heavy actors on nodes 0 mod 8
-//    of a 64-node world, which the static node-id-mod-T assignment piles
-//    onto worker 0 at 8 threads. It runs static vs balanced at 8 threads;
-//    all simulated counters must match, and under ABCLSIM_SCALING_GATE=1 on
-//    multi-core hosts the balanced wall clock must beat static by >= 1.3x.
+// Driver policies: ParallelMachine runs flat windows and a static shard at
+// one worker, distance horizons and the shard balancer at more. Window
+// counts are simulated quantities, so two window gates always apply:
+//  - N-queens: the 8-thread run never takes more windows than the 1-thread
+//    run, at every P.
+//  - Torus locality (the workload distance horizons exist for): the
+//    2-thread run takes <= 75% of the 1-thread run's windows.
+// A clustered workload pins heavy actors on nodes 0 mod 8 of a 64-node
+// world, which the static node-id-mod-T assignment would pile onto worker 0
+// at 8 threads; it runs serial vs 8 threads, whose simulated counters must
+// match, and the balancer must actually move nodes.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -72,21 +71,19 @@ struct Sample {
   sim::Instr sim_time = 0;
   std::uint64_t quanta = 0;
   // Parallel-driver window count (0 under the serial Machine). A function
-  // of simulated state + the horizon policy only — identical at any thread
-  // count, so the committed baseline pins it.
+  // of simulated state + the horizon policy only — identical at every
+  // thread count above one, so the committed baseline pins it.
   std::uint64_t windows = 0;
 };
 
 Sample run_once(int nodes, int host_threads, const apps::NQueensParams& p,
-                std::string* metrics_out = nullptr,
-                sim::HorizonKind horizon = sim::HorizonKind::kGlobal) {
+                std::string* metrics_out = nullptr) {
   core::Program prog;
   auto np = apps::register_nqueens(prog);
   prog.finalize();
   WorldConfig cfg;
   cfg.with_nodes(nodes);
   cfg.with_host_threads(host_threads == 0 ? -1 : host_threads);
-  cfg.with_horizon(horizon);
   World world(prog, cfg);
 
   auto t0 = std::chrono::steady_clock::now();
@@ -129,8 +126,7 @@ constexpr int kMigNodes = 8;
 constexpr int kMigActors = 96;
 constexpr Word kMigFuel = 120;
 
-MigSample run_hotspot(int host_threads,
-                      sim::ShardKind shard = sim::ShardKind::kStatic) {
+MigSample run_hotspot(int host_threads) {
   core::Program prog;
   PatternId kick = prog.patterns().intern("churn.kick", 1);
   ClassDef<ChurnState> def(prog, "Churn");
@@ -159,7 +155,6 @@ MigSample run_hotspot(int host_threads,
   WorldConfig cfg;
   cfg.with_nodes(kMigNodes);
   cfg.with_host_threads(host_threads);
-  cfg.with_shard(shard);
   remote::MigrationConfig mc;
   mc.enabled = true;
   mc.interval = 8;
@@ -203,13 +198,13 @@ MigSample run_hotspot(int host_threads,
   return s;
 }
 
-// --------------------------------------- clustered shard-policy workload ----
+// --------------------------------------------- clustered shard workload ----
 
 // 64 nodes, heavy self-chaining actors only on nodes 0 mod 8. The static
-// node-id-mod-T shard assignment maps every one of those nodes to worker 0
-// at 8 host threads — the worst case the balanced policy exists for. Each
-// quantum also burns real host CPU (kSpinIters mixing rounds) so the
-// wall-clock contrast measures execution spread, not barrier overhead.
+// node-id-mod-T shard assignment would map every one of those nodes to
+// worker 0 at 8 host threads — the worst case the shard balancer exists
+// for. Each quantum also burns real host CPU (kSpinIters mixing rounds) so
+// the wall clock measures execution spread, not barrier overhead.
 struct ClusterState {
   std::uint64_t steps = 0;
   std::uint64_t acc = 0;
@@ -230,7 +225,7 @@ constexpr int kClActorsPerHot = 12;  // 8 hot nodes -> 96 actors
 constexpr Word kClFuel = 120;
 constexpr int kClSpinIters = 24000;
 
-ClusterSample run_clustered(sim::ShardKind shard) {
+ClusterSample run_clustered(int host_threads) {
   core::Program prog;
   PatternId kick = prog.patterns().intern("cluster.kick", 1);
   ClassDef<ClusterState> def(prog, "Cluster");
@@ -268,14 +263,13 @@ ClusterSample run_clustered(sim::ShardKind shard) {
 
   WorldConfig cfg;
   cfg.with_nodes(kClNodes);
-  cfg.with_host_threads(8);
-  cfg.with_shard(shard);
+  cfg.with_host_threads(host_threads);
   World world(prog, cfg);
 
   // Create AND kick locally on each hot node: every chain starts at the
   // same simulated instant and advances by the same charge, so all actors
-  // stay in lockstep and every window executes every actor — the contrast
-  // between the policies is then purely where those quanta execute.
+  // stay in lockstep and every window executes every actor — the only
+  // question left is where those quanta execute.
   std::vector<MailAddr> actors;
   for (int node = 0; node < kClNodes; node += 8) {
     world.boot(node, [&](Ctx& ctx) {
@@ -311,15 +305,15 @@ ClusterSample run_clustered(sim::ShardKind shard) {
 // The workload distance horizons exist for: every node of the 16x16 torus
 // churns a node-local chain, phase-shifted by 2 * hops(0, i) instructions -
 // dense in *time*, with the in-time neighbors far apart in *space*. Under
-// the flat policy a 20-instr window only reaches phases < 20, so each
-// 200-instr generation costs two barriers. The distance policy prices the
-// hops between a node and the frontier into its horizon -- H_i >= K_min +
-// 20 + hops(0,i) > K_min + 2*hops(0,i) -- so every node runs its quantum in
-// the first window and each generation costs one barrier: an asymptotic 50%
-// window reduction, all simulated and thread-count-independent, which the
-// >= 25% acceptance gate pins. (The N-queens runs above are saturated --
-// queues deep everywhere, every window full under either policy -- so their
-// reduction is structurally small; they are reported but not gated.)
+// the flat windows of a 1-thread run a 20-instr window only reaches phases
+// < 20, so each 200-instr generation costs two barriers. The distance
+// horizons of a multi-thread run price the hops between a node and the
+// frontier into its horizon -- H_i >= K_min + 20 + hops(0,i) > K_min +
+// 2*hops(0,i) -- so every node runs its quantum in the first window and each
+// generation costs one barrier: an asymptotic 50% window reduction, all
+// simulated, which the <= 75% gate pins. (The N-queens runs above are
+// saturated -- queues deep everywhere, every window full either way -- so
+// their reduction is structurally small and only gated as "never more".)
 struct LocalityResult {
   std::uint64_t windows = 0;
   std::uint64_t occupancy = 0;
@@ -331,7 +325,7 @@ struct LocalityResult {
 constexpr int kLocNodes = 256;  // 16x16 torus
 constexpr Word kLocFuel = 200;
 
-LocalityResult run_locality(sim::HorizonKind horizon) {
+LocalityResult run_locality(int host_threads) {
   core::Program prog;
   PatternId kick = prog.patterns().intern("loc.kick", 2);  // fuel, phase
   ClassDef<ClusterState> def(prog, "Loc");
@@ -360,8 +354,7 @@ LocalityResult run_locality(sim::HorizonKind horizon) {
 
   WorldConfig cfg;
   cfg.with_nodes(kLocNodes);
-  cfg.with_host_threads(2);
-  cfg.with_horizon(horizon);
+  cfg.with_host_threads(host_threads);
   World world(prog, cfg);
 
   const net::Topology topo(net::TopologyKind::kTorus2D, kLocNodes);
@@ -404,22 +397,16 @@ int main(int argc, char** argv) {
   std::printf("N = %d, host cores = %u%s\n", n, cores,
               meaningful ? "" : " (single-core: speedups not meaningful)");
   std::vector<Sample> samples;
-  struct WindowAblation {
-    int nodes = 0;
-    std::uint64_t global_windows = 0;
-    std::uint64_t distance_windows = 0;
-  };
-  std::vector<WindowAblation> ablations;
   bool identical = true;
   bool scaling_ok = true;
   bool windows_ok = true;
-  std::string metrics_serial, metrics_par8, metrics_dist;
+  std::string metrics_serial, metrics_par8;
   for (int nodes : {64, 256, 512}) {
     util::Table t({"P", "Driver", "Wall (ms)", "Speedup vs serial",
                    "Solutions", "Sim time (instr)", "Windows"});
     double serial_ms = 0.0;
     Sample serial{};
-    Sample global8{};
+    Sample one{};
     for (int ht : thread_counts) {
       // Snapshot the canonical P=64 config from both drivers: the serial
       // snapshot is the published artifact, the 8-thread one only exists to
@@ -437,7 +424,16 @@ int main(int argc, char** argv) {
         identical = false;
         std::printf("DIVERGENCE at P=%d threads=%d!\n", nodes, ht);
       }
-      if (ht == 8) global8 = s;
+      if (ht == 1) one = s;
+      // Distance horizons (8 threads) can only remove barriers relative to
+      // the flat windows of the 1-thread run.
+      if (ht == 8 && s.windows > one.windows) {
+        windows_ok = false;
+        std::printf("WINDOW GATE at P=%d: 8 threads ran %llu windows, 1 "
+                    "thread only %llu\n",
+                    nodes, static_cast<unsigned long long>(s.windows),
+                    static_cast<unsigned long long>(one.windows));
+      }
       if (scaling_gate && ht == 2 && s.wall_ms > 1.5 * serial_ms) {
         scaling_ok = false;
         std::printf("SCALING GATE at P=%d: 2-thread wall %.1f ms > 1.5x "
@@ -452,47 +448,12 @@ int main(int argc, char** argv) {
                  util::Table::num(static_cast<std::uint64_t>(s.sim_time)),
                  ht == 0 ? "-" : util::Table::num(s.windows)});
     }
-    // Window-policy ablation: the same config under distance horizons. The
-    // saturated N-queens world keeps every torus neighborhood busy, so the
-    // reduction here is structurally modest (the gated >= 25% contrast is
-    // the locality workload below); it must still be a reduction and must
-    // not change any simulated result.
-    {
-      std::string* mout = nodes == 64 ? &metrics_dist : nullptr;
-      Sample d = run_once(nodes, 8, p, mout, sim::HorizonKind::kDistance);
-      samples.push_back(d);
-      if (d.solutions != serial.solutions || d.sim_time != serial.sim_time ||
-          d.quanta != serial.quanta) {
-        identical = false;
-        std::printf("DIVERGENCE at P=%d horizon=distance!\n", nodes);
-      }
-      ablations.push_back({nodes, global8.windows, d.windows});
-      if (d.windows > global8.windows) {
-        windows_ok = false;
-        std::printf("WINDOW GATE at P=%d: distance ran %llu windows, global "
-                    "only %llu — distance horizons must never add windows\n",
-                    nodes, static_cast<unsigned long long>(d.windows),
-                    static_cast<unsigned long long>(global8.windows));
-      }
-      t.add_row({std::to_string(nodes), "8 thr, distance",
-                 util::Table::num(d.wall_ms, 1),
-                 util::Table::num(serial_ms / d.wall_ms, 2),
-                 util::Table::num(static_cast<std::uint64_t>(d.solutions)),
-                 util::Table::num(static_cast<std::uint64_t>(d.sim_time)),
-                 util::Table::num(d.windows)});
-    }
     t.print();
   }
 
   if (metrics_serial != metrics_par8) {
     identical = false;
     std::printf("METRICS DIVERGENCE: serial and 8-thread snapshots differ!\n");
-  }
-  if (metrics_serial != metrics_dist) {
-    identical = false;
-    std::printf(
-        "METRICS DIVERGENCE: distance-horizon snapshot differs from "
-        "serial!\n");
   }
 
   // Hot-spot migration workload: serial vs 8 threads with the shedding
@@ -506,11 +467,8 @@ int main(int argc, char** argv) {
                    "Node-0 objects", "Nodes w/ objects"});
     MigSample ms = run_hotspot(-1);
     MigSample mp = run_hotspot(8);
-    MigSample mb = run_hotspot(8, sim::ShardKind::kBalanced);
-    for (const MigSample* s : {&ms, &mp, &mb}) {
-      t.add_row({s == &ms   ? "serial"
-                 : s == &mp ? "8 threads"
-                            : "8 thr, balanced",
+    for (const MigSample* s : {&ms, &mp}) {
+      t.add_row({s == &ms ? "serial" : "8 threads",
                  util::Table::num(s->wall_ms, 1),
                  util::Table::num(s->totals.migrations_out),
                  util::Table::num(s->totals.migrations_in),
@@ -522,22 +480,18 @@ int main(int argc, char** argv) {
     t.print();
     const std::uint64_t expected_steps =
         static_cast<std::uint64_t>(kMigActors) * (kMigFuel + 1);
-    auto mig_matches = [&](const MigSample& x) {
-      return x.total_steps == expected_steps &&
-             x.hot_node_objects == ms.hot_node_objects &&
-             x.nodes_with_objects == ms.nodes_with_objects &&
-             x.totals.migrations_out == ms.totals.migrations_out &&
-             x.totals.migrations_in == ms.totals.migrations_in &&
-             x.totals.migration_mail == ms.totals.migration_mail &&
-             x.totals.migration_forwards == ms.totals.migration_forwards &&
-             x.totals.migration_updates == ms.totals.migration_updates &&
-             x.totals.migration_holds == ms.totals.migration_holds;
-    };
-    if (ms.total_steps != expected_steps || !mig_matches(mp) ||
-        !mig_matches(mb)) {
+    if (ms.total_steps != expected_steps || mp.total_steps != expected_steps ||
+        mp.hot_node_objects != ms.hot_node_objects ||
+        mp.nodes_with_objects != ms.nodes_with_objects ||
+        mp.totals.migrations_out != ms.totals.migrations_out ||
+        mp.totals.migrations_in != ms.totals.migrations_in ||
+        mp.totals.migration_mail != ms.totals.migration_mail ||
+        mp.totals.migration_forwards != ms.totals.migration_forwards ||
+        mp.totals.migration_updates != ms.totals.migration_updates ||
+        mp.totals.migration_holds != ms.totals.migration_holds) {
       identical = false;
       std::printf("MIGRATION DIVERGENCE: hot-spot runs differ across "
-                  "drivers/shard policies (or lost steps)!\n");
+                  "drivers (or lost steps)!\n");
     }
     if (ms.totals.migrations_out == 0 || ms.nodes_with_objects < 2) {
       identical = false;
@@ -566,15 +520,15 @@ int main(int argc, char** argv) {
     if (brace != std::string::npos) metrics_serial.insert(brace, hot);
   }
 
-  // Torus-locality window ablation — the gated >= 25% reduction.
-  LocalityResult loc_global = run_locality(sim::HorizonKind::kGlobal);
-  LocalityResult loc_dist = run_locality(sim::HorizonKind::kDistance);
+  // Torus-locality window gate: flat windows (1 thread) vs distance
+  // horizons (2 threads).
+  const LocalityResult loc1 = run_locality(1);
+  const LocalityResult loc2 = run_locality(2);
   {
-    util::Table t({"Horizon", "Windows", "Mean occupancy", "Sim time (instr)",
+    util::Table t({"Threads", "Windows", "Mean occupancy", "Sim time (instr)",
                    "Quanta"});
-    for (const LocalityResult* r : {&loc_global, &loc_dist}) {
-      t.add_row({r == &loc_global ? "global" : "distance",
-                 util::Table::num(r->windows),
+    for (const LocalityResult* r : {&loc1, &loc2}) {
+      t.add_row({r == &loc1 ? "1" : "2", util::Table::num(r->windows),
                  util::Table::num(
                      static_cast<double>(r->occupancy) /
                          static_cast<double>(r->windows ? r->windows : 1),
@@ -583,69 +537,56 @@ int main(int argc, char** argv) {
                  util::Table::num(r->quanta)});
     }
     t.print();
-    if (loc_global.sim_time != loc_dist.sim_time ||
-        loc_global.quanta != loc_dist.quanta) {
+    if (loc1.sim_time != loc2.sim_time || loc1.quanta != loc2.quanta) {
       identical = false;
       std::printf("DIVERGENCE: locality workload's simulated results differ "
-                  "between horizon policies!\n");
+                  "between 1 and 2 threads!\n");
     }
-    if (loc_dist.windows * 4 > loc_global.windows * 3) {
+    if (loc2.windows * 4 > loc1.windows * 3) {
       windows_ok = false;
-      std::printf("WINDOW GATE: locality workload — distance ran %llu "
-                  "windows, global %llu — less than a 25%% reduction\n",
-                  static_cast<unsigned long long>(loc_dist.windows),
-                  static_cast<unsigned long long>(loc_global.windows));
+      std::printf("WINDOW GATE: locality workload — 2 threads ran %llu "
+                  "windows, 1 thread %llu — less than a 25%% reduction\n",
+                  static_cast<unsigned long long>(loc2.windows),
+                  static_cast<unsigned long long>(loc1.windows));
     }
   }
 
-  // Clustered shard-policy workload: static piles every hot node onto
-  // worker 0; balanced spreads them. All simulated quantities must match;
-  // the wall-clock win is gated only under ABCLSIM_SCALING_GATE on
-  // multi-core hosts (it needs real parallel execution to exist).
-  ClusterSample cl_static{};
-  ClusterSample cl_bal{};
+  // Clustered shard workload: serial vs 8 threads, where the balancer must
+  // spread the hot nodes. All simulated quantities must match.
+  ClusterSample cl_serial = run_clustered(-1);
+  ClusterSample cl_par{};
   {
-    // Best-of-3 per policy: wall clock on shared runners is noisy and the
-    // minimum is the least contaminated observation of each policy's cost.
+    // Best-of-3 at 8 threads: wall clock on shared runners is noisy and the
+    // minimum is the least contaminated observation.
     for (int rep = 0; rep < 3; ++rep) {
-      ClusterSample s = run_clustered(sim::ShardKind::kStatic);
-      ClusterSample b = run_clustered(sim::ShardKind::kBalanced);
-      if (rep == 0 || s.wall_ms < cl_static.wall_ms) cl_static = s;
-      if (rep == 0 || b.wall_ms < cl_bal.wall_ms) cl_bal = b;
+      ClusterSample b = run_clustered(8);
+      if (rep == 0 || b.wall_ms < cl_par.wall_ms) cl_par = b;
     }
-    util::Table t({"Shard", "Wall (ms)", "Speedup", "Sim time (instr)",
+    util::Table t({"Driver", "Wall (ms)", "Speedup", "Sim time (instr)",
                    "Windows", "Rebalances", "Moves"});
-    for (const ClusterSample* s : {&cl_static, &cl_bal}) {
-      t.add_row({s == &cl_static ? "static" : "balanced",
+    for (const ClusterSample* s : {&cl_serial, &cl_par}) {
+      t.add_row({s == &cl_serial ? "serial" : "8 threads",
                  util::Table::num(s->wall_ms, 1),
-                 s == &cl_static
-                     ? "1.00"
-                     : util::Table::num(cl_static.wall_ms / s->wall_ms, 2),
+                 util::Table::num(cl_serial.wall_ms / s->wall_ms, 2),
                  util::Table::num(static_cast<std::uint64_t>(s->sim_time)),
-                 util::Table::num(s->windows), util::Table::num(s->rebalances),
+                 s == &cl_serial ? "-" : util::Table::num(s->windows),
+                 util::Table::num(s->rebalances),
                  util::Table::num(s->shard_moves)});
     }
     t.print();
     const std::uint64_t expected =
         static_cast<std::uint64_t>(kClNodes / 8 * kClActorsPerHot) *
         (kClFuel + 1);
-    if (cl_static.total_steps != expected || cl_bal.total_steps != expected ||
-        cl_static.sim_time != cl_bal.sim_time ||
-        cl_static.quanta != cl_bal.quanta ||
-        cl_static.windows != cl_bal.windows) {
+    if (cl_serial.total_steps != expected || cl_par.total_steps != expected ||
+        cl_serial.sim_time != cl_par.sim_time ||
+        cl_serial.quanta != cl_par.quanta) {
       identical = false;
       std::printf("SHARD DIVERGENCE: clustered workload's simulated results "
-                  "differ between shard policies!\n");
+                  "differ between serial and 8 threads!\n");
     }
-    if (cl_bal.shard_moves == 0) {
+    if (cl_par.shard_moves == 0) {
       identical = false;
-      std::printf("SHARD GATE: balanced policy never moved a node!\n");
-    }
-    if (scaling_gate && cl_bal.wall_ms * 1.3 > cl_static.wall_ms) {
-      scaling_ok = false;
-      std::printf("SHARD SCALING GATE: balanced wall %.1f ms not >= 1.3x "
-                  "faster than static %.1f ms\n",
-                  cl_bal.wall_ms, cl_static.wall_ms);
+      std::printf("SHARD GATE: the balancer never moved a node!\n");
     }
   }
 
@@ -682,54 +623,34 @@ int main(int argc, char** argv) {
                    i + 1 < samples.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    // Window-policy ablation: window counts are simulated quantities, so
-    // the committed baseline pins both and with them the >= 25% reduction.
-    std::fprintf(f, "  \"window_policy\": [\n");
-    for (std::size_t i = 0; i < ablations.size(); ++i) {
-      const WindowAblation& a = ablations[i];
-      std::fprintf(f,
-                   "    {\"nodes\": %d, \"global_windows\": %llu, "
-                   "\"distance_windows\": %llu}%s\n",
-                   a.nodes, static_cast<unsigned long long>(a.global_windows),
-                   static_cast<unsigned long long>(a.distance_windows),
-                   i + 1 < ablations.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    // Gated torus-locality ablation (all simulated, hence pinnable).
+    // Gated torus-locality workload (all simulated, hence pinnable), with
+    // the full driver-counter snapshot (obs::driver_metrics_json) keyed by
+    // thread count.
     std::fprintf(f,
-                 "  \"window_locality\": {\"nodes\": %d, "
-                 "\"global_windows\": %llu, \"distance_windows\": %llu, "
-                 "\"global_occupancy\": %llu, \"distance_occupancy\": %llu, "
-                 "\"quanta\": %llu, \"sim_time\": %llu},\n",
-                 kLocNodes,
-                 static_cast<unsigned long long>(loc_global.windows),
-                 static_cast<unsigned long long>(loc_dist.windows),
-                 static_cast<unsigned long long>(loc_global.occupancy),
-                 static_cast<unsigned long long>(loc_dist.occupancy),
-                 static_cast<unsigned long long>(loc_global.quanta),
-                 static_cast<unsigned long long>(loc_global.sim_time));
-    // Full driver-counter snapshots (obs::driver_metrics_json) per policy —
-    // deterministic at the pinned 2-thread width, so pinned in baselines.
-    std::fprintf(f, "  \"window_locality_driver\": {\"global\": %s, "
-                 "\"distance\": %s},\n",
-                 loc_global.driver_json.c_str(), loc_dist.driver_json.c_str());
-    // Shard-policy workload. Counts are deterministic at the pinned 8-thread
-    // width; "speedup" is wall-clock-derived and on the shared ignore list.
+                 "  \"window_locality\": {\"nodes\": %d, \"quanta\": %llu, "
+                 "\"sim_time\": %llu},\n",
+                 kLocNodes, static_cast<unsigned long long>(loc1.quanta),
+                 static_cast<unsigned long long>(loc1.sim_time));
+    std::fprintf(f, "  \"window_locality_driver\": {\"1\": %s, \"2\": %s},\n",
+                 loc1.driver_json.c_str(), loc2.driver_json.c_str());
+    // Clustered shard workload. Counts are deterministic at the pinned
+    // 8-thread width; "speedup" is wall-clock-derived and on the shared
+    // ignore list.
     std::fprintf(
         f,
         "  \"shard_hotspot\": {\"nodes\": %d, \"actors\": %d, "
         "\"fuel\": %llu, \"quanta\": %llu, \"sim_time\": %llu, "
         "\"windows\": %llu, \"rebalances\": %llu, \"shard_moves\": %llu, "
-        "\"static\": {\"wall_ms\": %.3f}, \"balanced\": {\"wall_ms\": %.3f}, "
+        "\"serial\": {\"wall_ms\": %.3f}, \"threads_8\": {\"wall_ms\": %.3f}, "
         "\"speedup\": %.3f},\n",
         kClNodes, kClNodes / 8 * kClActorsPerHot,
         static_cast<unsigned long long>(kClFuel),
-        static_cast<unsigned long long>(cl_static.quanta),
-        static_cast<unsigned long long>(cl_static.sim_time),
-        static_cast<unsigned long long>(cl_static.windows),
-        static_cast<unsigned long long>(cl_bal.rebalances),
-        static_cast<unsigned long long>(cl_bal.shard_moves), cl_static.wall_ms,
-        cl_bal.wall_ms, cl_static.wall_ms / cl_bal.wall_ms);
+        static_cast<unsigned long long>(cl_par.quanta),
+        static_cast<unsigned long long>(cl_par.sim_time),
+        static_cast<unsigned long long>(cl_par.windows),
+        static_cast<unsigned long long>(cl_par.rebalances),
+        static_cast<unsigned long long>(cl_par.shard_moves),
+        cl_serial.wall_ms, cl_par.wall_ms, cl_serial.wall_ms / cl_par.wall_ms);
     std::fprintf(f, "  \"windows_gate_ok\": %s\n",
                  windows_ok ? "true" : "false");
     std::fprintf(f, "}\n");

@@ -5,7 +5,6 @@
 
 #include "sim/parallel_machine.hpp"
 #include "util/assert.hpp"
-#include "util/spec_parser.hpp"
 
 namespace abcl {
 
@@ -22,33 +21,6 @@ int resolve_host_threads(int configured) {
   return *v;
 }
 
-// The single-word env knobs all route through util::parse_choice /
-// util::choice_error, following the same strictness discipline as
-// ABCLSIM_HOST_THREADS: a typo aborts instead of silently picking a mode.
-sim::HorizonKind parse_horizon_env(const char* text) {
-  if (text == nullptr || *text == '\0') return sim::HorizonKind::kGlobal;
-  std::optional<std::size_t> i =
-      util::parse_choice(text, {"global", "distance"});
-  ABCL_CHECK_MSG(i.has_value(),
-                 util::choice_error("ABCLSIM_HORIZON", text,
-                                    "global or distance",
-                                    "the flat global window")
-                     .c_str());
-  return *i == 0 ? sim::HorizonKind::kGlobal : sim::HorizonKind::kDistance;
-}
-
-sim::ShardKind parse_shard_env(const char* text) {
-  if (text == nullptr || *text == '\0') return sim::ShardKind::kStatic;
-  std::optional<std::size_t> i =
-      util::parse_choice(text, {"static", "balanced"});
-  ABCL_CHECK_MSG(i.has_value(),
-                 util::choice_error("ABCLSIM_SHARD", text,
-                                    "static or balanced",
-                                    "the static round-robin shard")
-                     .c_str());
-  return *i == 0 ? sim::ShardKind::kStatic : sim::ShardKind::kBalanced;
-}
-
 }  // namespace
 
 WorldConfig WorldConfig::from_env() {
@@ -60,8 +32,6 @@ WorldConfig WorldConfig::from_env() {
   // Record the resolved decision: -1 forces serial, so constructing a World
   // from this config later never re-reads the environment.
   cfg.host_threads = *threads == 0 ? -1 : *threads;
-  cfg.horizon = parse_horizon_env(std::getenv("ABCLSIM_HORIZON"));
-  cfg.shard = parse_shard_env(std::getenv("ABCLSIM_SHARD"));
   err.clear();
   std::optional<net::FaultConfig> faults =
       net::parse_fault_spec(std::getenv("ABCLSIM_FAULTS"), &err);
@@ -161,12 +131,8 @@ void World::build_machine() {
 
   int threads = resolve_host_threads(cfg_.host_threads);
   if (threads >= 1) {
-    sim::ParallelMachine::Options opts;
-    opts.horizon = cfg_.horizon;
-    opts.shard = cfg_.shard;
-    opts.seed = cfg_.seed;
     machine_ = std::make_unique<sim::ParallelMachine>(
-        std::move(execs), net_.get(), threads, opts);
+        std::move(execs), net_.get(), threads, cfg_.seed);
     host_threads_ = threads;
   } else {
     machine_ = std::make_unique<sim::Machine>(std::move(execs));

@@ -15,9 +15,7 @@
 #include "ckpt/snapshot.hpp"
 #include "core/node_runtime.hpp"
 #include "net/network.hpp"
-#include "sim/lookahead.hpp"
 #include "sim/machine.hpp"
-#include "sim/shard_balance.hpp"
 #include "sim/trace.hpp"
 #include "util/table.hpp"
 
@@ -46,17 +44,6 @@ struct WorldConfig {
   // < 0 = force the serial Machine regardless of the environment. Results
   // are bit-identical across all settings.
   int host_threads = 0;
-  // Window policy of the host-parallel driver: flat global lookahead
-  // (default) vs per-node distance-aware horizons (ABCLSIM_HORIZON=
-  // distance; see sim/lookahead.hpp). Fewer barriers on torus workloads —
-  // results never change. Ignored by the serial driver; falls back to
-  // global when fault injection is enabled.
-  sim::HorizonKind horizon = sim::HorizonKind::kGlobal;
-  // Shard policy of the host-parallel driver: static round-robin (default)
-  // vs deterministic barrier-time EWMA rebalancing (ABCLSIM_SHARD=
-  // balanced; see sim/shard_balance.hpp). Results never change; only which
-  // host thread runs which node does.
-  sim::ShardKind shard = sim::ShardKind::kStatic;
   // Deterministic network fault injection (drop/dup/delay/blackout) plus
   // the delivery-hardening protocol; see net/fault.hpp. Disabled by default
   // — a faults-off World is byte-identical to one built before this knob
@@ -83,8 +70,7 @@ struct WorldConfig {
   // Builds a config with every environment-controlled knob resolved here,
   // once, strictly: ABCLSIM_HOST_THREADS (see parse_host_threads; unset ->
   // serial, recorded as host_threads = -1 so the result never re-consults
-  // the environment), ABCLSIM_HORIZON (unset/global or distance),
-  // ABCLSIM_SHARD (unset/static or balanced) and ABCLSIM_FAULTS (unset or
+  // the environment), ABCLSIM_FAULTS (unset or
   // "off" -> no faults; otherwise a strict net::parse_fault_spec string
   // like "drop=0.05,dup=0.01,seed=7") and ABCLSIM_MIGRATION (unset or "off"
   // -> no migration; otherwise a strict remote::parse_migration_spec string
@@ -107,8 +93,6 @@ struct WorldConfig {
   }
   WorldConfig& with_seed(std::uint64_t s) { seed = s; return *this; }
   WorldConfig& with_host_threads(int t) { host_threads = t; return *this; }
-  WorldConfig& with_horizon(sim::HorizonKind h) { horizon = h; return *this; }
-  WorldConfig& with_shard(sim::ShardKind s) { shard = s; return *this; }
   WorldConfig& with_faults(const net::FaultConfig& f) {
     faults = f;
     return *this;

@@ -104,13 +104,6 @@ struct WorldIo {
     w.b(cfg.ckpt.enabled);
     w.u64(cfg.ckpt.at);
     w.str(cfg.ckpt.path);
-    // Driver policy knobs: purely host-side (results never depend on them),
-    // but carried so a restored world keeps the run's configured policy when
-    // the restoring caller doesn't override it. The parallel driver rebuilds
-    // every derived structure (horizon map, balancer state) from scratch on
-    // construction, so nothing else needs saving.
-    w.u32(static_cast<std::uint32_t>(cfg.horizon));
-    w.u32(static_cast<std::uint32_t>(cfg.shard));
     w.u64(world.quanta_total_);
 
     save_network(w, *world.net_);
@@ -135,8 +128,6 @@ struct WorldIo {
     cfg.ckpt.enabled = r.b();
     cfg.ckpt.at = r.u64();
     cfg.ckpt.path = r.str();
-    cfg.horizon = read_enum(r, "horizon", sim::HorizonKind::kDistance);
-    cfg.shard = read_enum(r, "shard", sim::ShardKind::kBalanced);
     if (host_threads_override != 0) cfg.host_threads = host_threads_override;
     world.quanta_total_ = r.u64();
     world.resumed_quanta_ = world.quanta_total_;

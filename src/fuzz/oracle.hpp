@@ -123,14 +123,11 @@ struct RunResult {
   std::uint64_t migration_holds = 0;
 };
 
-// `horizon`/`shard` select the parallel driver's window and shard policies.
-// Every combination must yield a byte-identical RunResult (checked by
-// tests/test_host_parallel.cpp and tests/test_fuzz.cpp over the fuzz
-// corpus).
+// Every `host_threads` setting must yield a byte-identical RunResult
+// (checked by tests/test_host_parallel.cpp and tests/test_fuzz.cpp over the
+// fuzz corpus).
 RunResult run_spec(const Spec& spec, int host_threads,
-                   const sim::CostModel& cost = sim::CostModel::ap1000(),
-                   sim::HorizonKind horizon = sim::HorizonKind::kGlobal,
-                   sim::ShardKind shard = sim::ShardKind::kStatic);
+                   const sim::CostModel& cost = sim::CostModel::ap1000());
 
 // Snapshot-equivalence drill: run `spec` to the quantum boundary at `at`,
 // serialize the whole world into memory, destroy it, restore it (under
@@ -141,9 +138,7 @@ RunResult run_spec(const Spec& spec, int host_threads,
 RunResult run_spec_with_checkpoint(
     const Spec& spec, int host_threads, std::uint64_t at,
     int restore_host_threads = 0,
-    const sim::CostModel& cost = sim::CostModel::ap1000(),
-    sim::HorizonKind horizon = sim::HorizonKind::kGlobal,
-    sim::ShardKind shard = sim::ShardKind::kStatic);
+    const sim::CostModel& cost = sim::CostModel::ap1000());
 
 // Crash-recovery drill: checkpoint at `at`, keep running toward the later
 // simulated instant `crash_at`, then "crash" — destroy the world, roll the
@@ -154,17 +149,14 @@ RunResult run_spec_with_checkpoint(
 RunResult run_spec_with_crash(
     const Spec& spec, int host_threads, std::uint64_t at,
     std::uint64_t crash_at,
-    const sim::CostModel& cost = sim::CostModel::ap1000(),
-    sim::HorizonKind horizon = sim::HorizonKind::kGlobal,
-    sim::ShardKind shard = sim::ShardKind::kStatic);
+    const sim::CostModel& cost = sim::CostModel::ap1000());
 
 struct OracleOptions {
+  // The parallel driver derives its window and shard policies from the
+  // worker count, so 1 covers flat windows + static shard and 2/8 cover
+  // distance horizons + the balancer.
   std::vector<int> thread_counts = {1, 2, 8};
   bool metamorphic = true;
-  // Parallel-driver policies for the differential runs. The serial baseline
-  // has no window or shard, so any combination must still match it exactly.
-  sim::HorizonKind horizon = sim::HorizonKind::kGlobal;
-  sim::ShardKind shard = sim::ShardKind::kStatic;
 };
 
 struct OracleResult {
@@ -185,11 +177,6 @@ struct CheckpointOracleOptions {
   // Simulated instant of the simulated crash; 0 = halfway between the
   // checkpoint and the baseline's quiescence.
   std::uint64_t crash_at = 0;
-  // Parallel-driver policies, applied to every checkpointing/restored run
-  // (the snapshot carries them, so a restore keeps the policy unless its
-  // caller overrides the thread count — never the policy).
-  sim::HorizonKind horizon = sim::HorizonKind::kGlobal;
-  sim::ShardKind shard = sim::ShardKind::kStatic;
 };
 
 // Snapshot-equivalence oracle: the uninterrupted serial run is the

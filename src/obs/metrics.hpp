@@ -39,12 +39,13 @@ std::string metrics_json(const World& world, const RunReport* rep = nullptr);
 void histogram_json(class JsonWriter& w, const util::Log2Histogram& h);
 
 // Parallel-driver execution counters: window/occupancy/rebalance totals
-// plus the effective horizon/shard policies. Kept OUT of metrics_json on
-// purpose — windows_run depends on the driver (a serial Machine has no
-// windows at all), so embedding it there would break the serial/parallel
-// byte-identity contract above. Everything emitted is still deterministic
-// for a fixed (program, policy, pinned thread count), so benches splice
-// this block into their own reports and pin it in baselines.
+// plus the window/shard policies the driver derived from its worker count.
+// Kept OUT of metrics_json on purpose — windows_run depends on the driver
+// (a serial Machine has no windows at all), so embedding it there would
+// break the serial/parallel byte-identity contract above. Everything
+// emitted is still deterministic for a fixed (program, pinned thread
+// count), so benches splice this block into their own reports and pin it
+// in baselines.
 std::string driver_metrics_json(const sim::ParallelMachine& pm);
 
 }  // namespace abcl::obs

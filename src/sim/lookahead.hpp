@@ -40,16 +40,6 @@
 
 namespace abcl::sim {
 
-// Horizon policy of the parallel driver: the flat global window (default)
-// or per-node distance-aware windows. Results are byte-identical either
-// way; only the number of barriers changes.
-enum class HorizonKind : std::uint8_t { kGlobal, kDistance };
-
-// Stable spelling (matches the ABCLSIM_HORIZON grammar) for logs/JSON.
-inline const char* to_string(HorizonKind k) {
-  return k == HorizonKind::kDistance ? "distance" : "global";
-}
-
 // a + b clamped to kInstrInf; treats kInstrInf as absorbing.
 inline Instr sat_add(Instr a, Instr b) {
   return a >= kInstrInf - b ? kInstrInf : a + b;

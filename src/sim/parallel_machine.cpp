@@ -15,12 +15,12 @@ constexpr int kSpinIters = 2048;
 
 ParallelMachine::ParallelMachine(std::vector<NodeExec*> nodes,
                                  net::Network* net, int num_threads,
-                                 Options opts)
+                                 std::uint64_t seed)
     : Driver(std::move(nodes)),
       net_(net),
       lookahead_(net != nullptr ? net->min_packet_latency() : 1),
       workers_(static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
-      distance_(opts.horizon == HorizonKind::kDistance && net != nullptr &&
+      distance_(workers_.size() > 1 && net != nullptr &&
                 !net->faults_enabled()),
       // On a single hardware thread, every spin cycle is stolen from the
       // thread being waited on — park immediately instead.
@@ -45,10 +45,10 @@ ParallelMachine::ParallelMachine(std::vector<NodeExec*> nodes,
     node_key_.assign(nodes_.size(), kInstrInf);
     horizons_.assign(nodes_.size(), 0);
   }
-  if (opts.shard == ShardKind::kBalanced && workers_.size() > 1) {
+  if (workers_.size() > 1) {
     balancer_ = std::make_unique<ShardBalancer>(
         static_cast<std::int32_t>(nodes_.size()),
-        static_cast<int>(workers_.size()), opts.seed);
+        static_cast<int>(workers_.size()), seed);
     window_quanta_.assign(nodes_.size(), 0);
   }
 }
@@ -271,6 +271,11 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
     if (k < min_key) min_key = k;
   }
 
+  // Repack the shards at most once per N committed quanta. A repack costs
+  // an O(N log N) sort plus an O(N) reinstall; sparse windows (a handful of
+  // quanta each, as in saturated N-queens) would otherwise reshuffle most
+  // of the shard map at every barrier.
+  std::uint64_t rebalance_at = nodes_.size();
   while (min_key != kInstrInf && min_key <= max_time) {
     window_horizon_ = sat_add(min_key, lookahead_);
     window_max_time_ = max_time;
@@ -299,9 +304,11 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
     notified_min_ = kInstrInf;
     flush_commits();
     min_key = notified_min_;
+    std::uint64_t run_quanta = 0;
     for (auto& w : workers_) {
       if (w.shard_min < min_key) min_key = w.shard_min;
       occupancy_sum_ += w.active;
+      run_quanta += w.quanta;
     }
     // min_key is the next window's floor: every later quantum (and so every
     // later send or trace event) carries a key >= it. Release the deferred
@@ -309,7 +316,10 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
     if (net_ != nullptr) net_->drain_deferred_wire_stats(min_key);
     replay_traces(min_key);
     ++windows_;
-    if (balancer_ != nullptr) apply_rebalance();
+    if (balancer_ != nullptr && run_quanta >= rebalance_at) {
+      apply_rebalance();
+      rebalance_at = run_quanta + nodes_.size();
+    }
   }
 
   if (threaded) {

@@ -1,7 +1,6 @@
 // Host-parallel conservative PDES driver.
 //
-// Bounded-window synchronization. Under the default flat policy each round
-// computes
+// Bounded-window synchronization. Under the flat policy each round computes
 //   horizon = min(effective key over all nodes) + lookahead
 // where lookahead is the minimum positive latency any packet can have
 // (net::Network::min_packet_latency). Every quantum with key < horizon is
@@ -9,9 +8,9 @@
 // at >= min_key + lookahead = horizon — so a fixed pool of worker threads
 // executes all of them concurrently.
 //
-// Distance-aware horizons (HorizonKind::kDistance): the flat bound ignores
-// that a packet from j to i is priced at >= lookahead + per_hop *
-// hops(j, i), so node i may instead run to the per-node horizon
+// Distance-aware horizons: the flat bound ignores that a packet from j to i
+// is priced at >= lookahead + per_hop * hops(j, i), so node i may instead
+// run to the per-node horizon
 //   H_i = lookahead + min_{j != i} (key_j + per_hop * hops(j, i))
 // computed each window by sim::HorizonMap in O(N) (see lookahead.hpp for the
 // exclude-self transforms and why excluding j == i is sound: the runtime
@@ -40,13 +39,14 @@
 // count.
 //
 // Shard policy: nodes map statically to workers (node id mod thread count)
-// or, under ShardKind::kBalanced, are reassigned at window barriers by
-// sim::ShardBalancer from per-node committed-quantum EWMAs — a pure
-// function of simulated state, so the assignment history is itself
-// bit-identical at any thread count. Reassignment happens only between
-// windows, when outboxes and trace buffers are drained, so each source
-// still lives in exactly one outbox per window and the canonical commit
-// order (and with it every simulated result) is untouched.
+// or, with more than one worker, are reassigned at window barriers (at
+// most once per N committed quanta) by sim::ShardBalancer from per-node
+// committed-quantum EWMAs — a pure function of simulated state and the
+// worker count, so the assignment history never depends on host timing.
+// Reassignment happens only between windows, when outboxes and trace
+// buffers are drained, so each source still lives in exactly one outbox
+// per window and the canonical commit order (and with it every simulated
+// result) is untouched.
 //
 // Thread-safety partition during a window: a worker touches only its own
 // nodes' state, those nodes' destination queues (poll side), its own outbox,
@@ -82,27 +82,26 @@
 
 namespace abcl::sim {
 
-// Policy knobs of the parallel driver (namespace-scope so the in-class
-// default argument below can use the member initializers).
-struct ParallelOptions {
-  HorizonKind horizon = HorizonKind::kGlobal;
-  ShardKind shard = ShardKind::kStatic;
-  std::uint64_t seed = 1;  // balancer tie-break stream (the world seed)
-};
-
 class ParallelMachine : public Driver {
  public:
-  using Options = ParallelOptions;
-
-  // `net` may be nullptr for driver-only unit tests (lookahead falls back
-  // to 1, sends are not redirected, and the horizon policy falls back to
-  // kGlobal — distance bounds need the network's topology and cost model).
-  // `num_threads` is clamped to >= 1. Distance horizons also fall back to
-  // the flat bound when fault injection is enabled: the issue's contract is
-  // the analytic per-pair pricing, and the retry protocol's effective wire
-  // times are easiest to bound globally.
+  // `num_threads` is clamped to >= 1; `seed` feeds the shard balancer's
+  // tie-break stream (the world seed). Both policies follow from the worker
+  // count, since neither changes a simulated result:
+  //  - With one worker the barrier is an inline call, so the per-node
+  //    horizon relaxation and the shard balancer would be pure overhead:
+  //    flat windows, static shard.
+  //  - With several workers every barrier is a cross-thread handshake,
+  //    which is what distance horizons (fewer windows) and the balancer
+  //    (load-aware shards) exist to save.
+  // Distance horizons additionally need the network's topology and cost
+  // model, so `net == nullptr` (driver-only unit tests; lookahead falls
+  // back to 1 and sends are not redirected) keeps flat windows. Fault
+  // injection keeps them too. That is a conservative choice, not a known
+  // unsoundness: every fault-layer copy still arrives at >= send time + the
+  // priced latency (net/fault.hpp), but the distance bound was only ever
+  // validated on fault-free runs.
   ParallelMachine(std::vector<NodeExec*> nodes, net::Network* net,
-                  int num_threads, Options opts = Options());
+                  int num_threads, std::uint64_t seed = 1);
   ~ParallelMachine() override;
 
   // Only ever invoked on the coordinator thread (commits happen at window
@@ -115,21 +114,18 @@ class ParallelMachine : public Driver {
   int num_threads() const { return static_cast<int>(workers_.size()); }
   std::uint64_t windows_run() const { return windows_; }
   // Sum over windows of nodes that executed >= 1 quantum: occupancy_sum /
-  // windows_run is the mean window occupancy. A function of simulated state
-  // only — identical at any thread count for a given horizon policy.
+  // windows_run is the mean window occupancy. Both are functions of
+  // simulated state and the horizon policy only, so they are identical at
+  // every worker count above one.
   std::uint64_t occupancy_sum() const { return occupancy_sum_; }
-  // Barrier-time reassignments applied / individual node moves. Zero under
-  // kStatic and on single-worker runs; depends on the worker count (but
-  // never on anything simulated-observable).
+  // Barrier-time reassignments applied / individual node moves. Zero on
+  // single-worker runs; depends on the worker count (but never on anything
+  // simulated-observable).
   std::uint64_t rebalances() const { return rebalances_; }
   std::uint64_t shard_moves() const { return shard_moves_; }
-  // Effective policies after the nullptr-net / fault-injection fallbacks.
-  HorizonKind horizon_kind() const {
-    return distance_ ? HorizonKind::kDistance : HorizonKind::kGlobal;
-  }
-  ShardKind shard_kind() const {
-    return balancer_ != nullptr ? ShardKind::kBalanced : ShardKind::kStatic;
-  }
+  // The policies the ctor derived (see there).
+  bool distance_horizons() const { return distance_; }
+  bool balanced_shards() const { return balancer_ != nullptr; }
 
  private:
   // Tracer interposer: tags each event with the key of the quantum that
@@ -181,7 +177,7 @@ class ParallelMachine : public Driver {
   net::Network* net_;
   Instr lookahead_;
   std::vector<Worker> workers_;
-  bool distance_;  // effective horizon policy (see ctor fallbacks)
+  bool distance_;  // derived horizon policy (see ctor)
 
   // Window parameters, written by the coordinator before it releases an
   // epoch; the release/acquire pair on epoch_ publishes them (along with
@@ -212,8 +208,8 @@ class ParallelMachine : public Driver {
   std::vector<Instr> node_bound_;  // relax() scratch
   std::vector<Instr> horizons_;
 
-  // Balanced-shard state: per-node quanta of the current window (worker-
-  // written, disjoint slots) feeding the balancer's EWMAs at each barrier.
+  // Balanced-shard state: per-node quanta since the last rebalance (worker-
+  // written, disjoint slots) feeding the balancer's EWMAs.
   std::unique_ptr<ShardBalancer> balancer_;
   std::vector<std::uint64_t> window_quanta_;
 

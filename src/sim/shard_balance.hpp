@@ -2,8 +2,8 @@
 //
 // The static round-robin shard (node i -> worker i mod T) idles most of the
 // host when load concentrates on a few nodes (the hot-spot workloads). At
-// every window barrier the driver may instead recompute the assignment from
-// a pure function of *simulated* state: each node's committed-quantum EWMA,
+// window barriers (at most once per N committed quanta) the driver instead
+// recomputes the assignment from a pure function of *simulated* state: each node's committed-quantum EWMA,
 // greedily packed largest-first onto the least-loaded worker, with SplitMix
 // hash tie-breaks (decide_shed-style) so equal loads still order
 // deterministically. Nothing host-dependent feeds the decision — the window
@@ -23,25 +23,17 @@
 
 namespace abcl::sim {
 
-// Shard policy of the parallel driver: fixed round-robin (default) or
-// barrier-time EWMA rebalancing. Results are byte-identical either way.
-enum class ShardKind : std::uint8_t { kStatic, kBalanced };
-
-// Stable spelling (matches the ABCLSIM_SHARD grammar) for logs/JSON.
-inline const char* to_string(ShardKind k) {
-  return k == ShardKind::kBalanced ? "balanced" : "static";
-}
-
 class ShardBalancer {
  public:
   // `seed` feeds the tie-break hash stream (the world seed, so equal-load
   // orderings differ across worlds but never across runs of one world).
   ShardBalancer(std::int32_t nodes, int workers, std::uint64_t seed);
 
-  // Folds one window's per-node quantum counts into the load EWMAs and
-  // recomputes the assignment. `window_quanta` must have num-nodes entries;
-  // they are consumed (zeroed for the next window). Returns how many nodes
-  // changed worker (0 = assignment unchanged, nothing to reinstall).
+  // Folds the per-node quantum counts since the previous call into the
+  // load EWMAs and recomputes the assignment. `window_quanta` must have
+  // num-nodes entries; they are consumed (zeroed for the next interval).
+  // Returns how many nodes changed worker (0 = assignment unchanged,
+  // nothing to reinstall).
   int rebalance(std::uint64_t* window_quanta);
 
   // Current node -> worker map (seeded round-robin, like the static shard).

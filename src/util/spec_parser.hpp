@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -66,16 +65,5 @@ bool spec_off(const char* text);
 // e.g. context "fault spec", hint "expected comma-separated drop=PROB, ...".
 std::string spec_error(const std::string& context, const std::string& raw,
                        const std::string& why, const std::string& hint);
-
-// Single-word choice knobs (ABCLSIM_SHARD=static|balanced, ...): index of
-// the matching word, or nullopt. The caller handles unset before calling.
-std::optional<std::size_t> parse_choice(
-    const char* text, std::initializer_list<const char*> words);
-
-// Diagnostic for a failed choice knob:
-//   <knob>="<raw>": expected <choices>, or unset for <default_hint>
-std::string choice_error(const std::string& knob, const std::string& raw,
-                         const std::string& choices,
-                         const std::string& default_hint);
 
 }  // namespace abcl::util

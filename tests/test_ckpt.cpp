@@ -149,17 +149,13 @@ TEST(CkptEnvDeath, GarbageAbortsWithDiagnostic) {
 // untouched, and a repeated with_* keeps the last value.
 TEST(ConfigPrecedence, EnvThenBuilderOverrideForEveryKnob) {
   ScopedEnv e1("ABCLSIM_HOST_THREADS", "3");
-  ScopedEnv e2("ABCLSIM_HORIZON", "distance");
-  ScopedEnv e3("ABCLSIM_SHARD", "balanced");
-  ScopedEnv e4("ABCLSIM_FAULTS", "drop=0.05,seed=9");
-  ScopedEnv e5("ABCLSIM_MIGRATION", "interval=16,seed=3");
-  ScopedEnv e6("ABCLSIM_CHECKPOINT", "at=123,path=env.ck");
+  ScopedEnv e2("ABCLSIM_FAULTS", "drop=0.05,seed=9");
+  ScopedEnv e3("ABCLSIM_MIGRATION", "interval=16,seed=3");
+  ScopedEnv e4("ABCLSIM_CHECKPOINT", "at=123,path=env.ck");
 
   WorldConfig cfg = WorldConfig::from_env();
   // from_env() picked up every variable.
   EXPECT_EQ(cfg.host_threads, 3);
-  EXPECT_EQ(cfg.horizon, sim::HorizonKind::kDistance);
-  EXPECT_EQ(cfg.shard, sim::ShardKind::kBalanced);
   EXPECT_TRUE(cfg.faults.enabled);
   EXPECT_EQ(cfg.faults.drop_ppm, 50'000u);
   EXPECT_TRUE(cfg.migration.enabled);
@@ -175,14 +171,10 @@ TEST(ConfigPrecedence, EnvThenBuilderOverrideForEveryKnob) {
   mc.enabled = true;
   mc.interval = 64;
   cfg.with_host_threads(7)
-      .with_horizon(sim::HorizonKind::kGlobal)
-      .with_shard(sim::ShardKind::kStatic)
       .with_faults(fc)
       .with_migration(mc)
       .with_ckpt(at_config(456));
   EXPECT_EQ(cfg.host_threads, 7);
-  EXPECT_EQ(cfg.horizon, sim::HorizonKind::kGlobal);
-  EXPECT_EQ(cfg.shard, sim::ShardKind::kStatic);
   EXPECT_EQ(cfg.faults.dup_ppm, 10'000u);
   EXPECT_EQ(cfg.faults.drop_ppm, 0u);
   EXPECT_EQ(cfg.migration.interval, 64u);
@@ -192,19 +184,15 @@ TEST(ConfigPrecedence, EnvThenBuilderOverrideForEveryKnob) {
 
 TEST(ConfigPrecedence, OverridingOneKnobLeavesTheOthersAlone) {
   ScopedEnv e1("ABCLSIM_HOST_THREADS", "3");
-  ScopedEnv e2("ABCLSIM_HORIZON", "distance");
-  ScopedEnv e3("ABCLSIM_SHARD", nullptr);
-  ScopedEnv e4("ABCLSIM_FAULTS", "drop=0.05,seed=9");
-  ScopedEnv e5("ABCLSIM_MIGRATION", nullptr);
-  ScopedEnv e6("ABCLSIM_CHECKPOINT", "at=123");
+  ScopedEnv e2("ABCLSIM_FAULTS", "drop=0.05,seed=9");
+  ScopedEnv e3("ABCLSIM_MIGRATION", nullptr);
+  ScopedEnv e4("ABCLSIM_CHECKPOINT", "at=123");
 
   WorldConfig cfg = WorldConfig::from_env().with_nodes(64).with_seed(5);
   EXPECT_EQ(cfg.nodes, 64);
   EXPECT_EQ(cfg.seed, 5u);
   // Env-derived knobs survive unrelated with_* calls.
   EXPECT_EQ(cfg.host_threads, 3);
-  EXPECT_EQ(cfg.horizon, sim::HorizonKind::kDistance);
-  EXPECT_EQ(cfg.shard, sim::ShardKind::kStatic);
   EXPECT_TRUE(cfg.faults.enabled);
   EXPECT_TRUE(cfg.ckpt.enabled);
   EXPECT_EQ(cfg.ckpt.at, 123u);
@@ -253,7 +241,6 @@ TEST(CkptWorld, ResumedQuantaAccountingAcrossRestore) {
   const std::uint64_t at = base.sim_time / 2 + 1;
 
   fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(),
-                     sim::HorizonKind::kGlobal, sim::ShardKind::kStatic,
                      at_config(at));
   RunReport r1 = fw.world().run();
   EXPECT_EQ(r1.stop_reason, StopReason::kCheckpointRequested);
@@ -285,8 +272,7 @@ TEST(CkptWorld, FileCheckpointIsTransparentAndRecaptureRoundTrips) {
   // Fire-and-forget: a path-configured checkpoint writes the file at the
   // boundary and resumes inside the same run() call, so a
   // checkpoint-unaware caller sees the uninterrupted run's results.
-  fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(),
-                     sim::HorizonKind::kGlobal, sim::ShardKind::kStatic, ck);
+  fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(), ck);
   RunReport r1 = fw.world().run();
   EXPECT_EQ(r1.stop_reason, StopReason::kQuiesced);
   EXPECT_EQ(r1.quanta, base.quanta);
@@ -315,32 +301,35 @@ TEST(CkptWorld, FileCheckpointIsTransparentAndRecaptureRoundTrips) {
   std::remove(ck.path.c_str());
 }
 
-TEST(CkptWorld, SnapshotCarriesWindowAndShardPolicies) {
-  // Snapshots record the horizon/shard knobs: a world checkpointed under
-  // (distance, balanced) restores under (distance, balanced) even when the
-  // restore overrides the thread count — the override swaps the driver
-  // width, never the policy.
+TEST(CkptWorld, RestoredDriverDerivesPoliciesFromItsWidth) {
+  // Snapshots carry no driver policy: a world captured at 1 worker (flat
+  // windows, static shard) restores under whatever width the caller picks,
+  // and the restored driver derives its policies from that width.
   const fuzz::Spec spec = fuzz::generate(2);
   const fuzz::RunResult base = fuzz::run_spec(spec, kSerial);
   const std::uint64_t at = base.sim_time / 2 + 1;
 
-  fuzz::FuzzWorld fw(spec, /*host_threads=*/8, nullptr,
-                     sim::CostModel::ap1000(), sim::HorizonKind::kDistance,
-                     sim::ShardKind::kBalanced, at_config(at));
+  fuzz::FuzzWorld fw(spec, /*host_threads=*/1, nullptr,
+                     sim::CostModel::ap1000(), at_config(at));
   RunReport r1 = fw.world().run();
   EXPECT_EQ(r1.stop_reason, StopReason::kCheckpointRequested);
   ckpt::MemSink sink;
   fw.checkpoint_to(sink);
 
-  for (int restore_threads : {0, 2}) {
+  // 0 keeps the snapshot's 1 worker; kSerial restores onto the Machine.
+  for (int restore_threads : {0, kSerial, 2, 8}) {
+    SCOPED_TRACE("restore_threads=" + std::to_string(restore_threads));
     ckpt::MemSource src(sink.bytes());
     fw.restore_world(src, nullptr, restore_threads);
-    EXPECT_EQ(fw.world().config().horizon, sim::HorizonKind::kDistance);
-    EXPECT_EQ(fw.world().config().shard, sim::ShardKind::kBalanced);
     auto* pm = dynamic_cast<sim::ParallelMachine*>(&fw.world().machine());
-    ASSERT_NE(pm, nullptr);
-    EXPECT_EQ(pm->horizon_kind(), sim::HorizonKind::kDistance);
-    EXPECT_EQ(pm->shard_kind(), sim::ShardKind::kBalanced);
+    if (restore_threads == kSerial) {
+      EXPECT_EQ(pm, nullptr);
+    } else {
+      ASSERT_NE(pm, nullptr);
+      const bool multi = restore_threads > 1;
+      EXPECT_EQ(pm->distance_horizons(), multi);
+      EXPECT_EQ(pm->balanced_shards(), multi);
+    }
     RunReport r2 = fw.world().run();
     EXPECT_EQ(r2.stop_reason, StopReason::kQuiesced);
     EXPECT_EQ(r2.sim_time, base.sim_time);
@@ -354,7 +343,6 @@ std::string snapshot_bytes(std::uint64_t seed) {
   const fuzz::Spec spec = fuzz::generate(seed);
   const fuzz::RunResult base = fuzz::run_spec(spec, kSerial);
   fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(),
-                     sim::HorizonKind::kGlobal, sim::ShardKind::kStatic,
                      at_config(base.sim_time / 2 + 1));
   fw.world().run();
   ckpt::MemSink sink;

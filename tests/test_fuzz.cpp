@@ -268,60 +268,6 @@ TEST(FaultCorpus, OracleHoldsUnderSeededFaultPlans) {
   EXPECT_GT(total_spurious, 0u);
 }
 
-// Seed-derived migration overlay for the policy-matrix gate: aggressive
-// thresholds so the small fuzz programs still shed objects.
-remote::MigrationConfig corpus_migration(std::uint64_t seed) {
-  remote::MigrationConfig mc;
-  mc.enabled = true;
-  mc.interval = 16 + static_cast<std::uint32_t>(seed % 3) * 16;
-  mc.hysteresis = 1;
-  mc.max_batch = 2 + static_cast<std::uint32_t>(seed % 3);
-  mc.min_queue = 2;
-  mc.seed = seed * 0x2545f4914f6cdd1dull + 9;
-  return mc;
-}
-
-// The {horizon} x {shard} policy-matrix gate: every corpus seed runs under
-// one of the four combinations (seed % 4) composed with one of
-// {plain, faults, migration, checkpoint} ((seed / 4) % 4) — four seeds per
-// cell, so all 16 cells gate every PR. The serial baseline has no window or
-// shard, so byte-identity across serial and 1/2/8 workers must hold for
-// every combination; the checkpoint arm exercises snapshot save/restore
-// under the balanced shard, including check_spec_checkpoint's restore at a
-// different thread count (cross-driver restore).
-TEST(PolicyMatrixCorpus, OracleHoldsForEveryCombo) {
-  for (std::uint64_t seed : kCorpus) {
-    const sim::HorizonKind h = (seed % 2) != 0 ? sim::HorizonKind::kDistance
-                                               : sim::HorizonKind::kGlobal;
-    const sim::ShardKind s = ((seed / 2) % 2) != 0 ? sim::ShardKind::kBalanced
-                                                   : sim::ShardKind::kStatic;
-    const int feature = static_cast<int>((seed / 4) % 4);
-    SCOPED_TRACE("seed=" + std::to_string(seed) + " horizon=" +
-                 sim::to_string(h) + " shard=" + sim::to_string(s) +
-                 " feature=" + std::to_string(feature));
-    fuzz::Spec spec = fuzz::generate(seed);
-    fuzz::OracleResult r;
-    if (feature == 3) {
-      fuzz::CheckpointOracleOptions opts;
-      opts.horizon = h;
-      opts.shard = sim::ShardKind::kBalanced;  // snapshot the active balancer
-      r = fuzz::check_spec_checkpoint(spec, opts);
-    } else {
-      if (feature == 1) spec.faults = corpus_faults(seed);
-      if (feature == 2) spec.migration = corpus_migration(seed);
-      fuzz::OracleOptions opts;
-      opts.horizon = h;
-      opts.shard = s;
-      r = fuzz::check_spec(spec, opts);
-    }
-    if (!r.ok) {
-      write_repro(spec, "repro_policy_seed_" + std::to_string(seed),
-                  r.failure);
-    }
-    ASSERT_TRUE(r.ok) << r.failure << "\nspec:\n" << spec.to_json();
-  }
-}
-
 TEST(SpecJson, FaultsBlockRoundTripsAndStaysOptional) {
   std::string err;
   fuzz::Spec s = fuzz::generate(3);

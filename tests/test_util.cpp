@@ -774,20 +774,6 @@ TEST(SpecParser, SpecOffAndDiagnosticShapes) {
   EXPECT_NE(e.find("drop=lots"), std::string::npos);
   EXPECT_NE(e.find("bad value"), std::string::npos);
   EXPECT_NE(e.find("expected X"), std::string::npos);
-
-  const std::string c = util::choice_error("ABCLSIM_SHARD", "stack",
-                                           "static or balanced", "static");
-  EXPECT_NE(c.find("ABCLSIM_SHARD"), std::string::npos);
-  EXPECT_NE(c.find("stack"), std::string::npos);
-}
-
-TEST(SpecParser, ParseChoiceMatchesExactWordsOnly) {
-  EXPECT_EQ(util::parse_choice("static", {"static", "balanced"}), 0u);
-  EXPECT_EQ(util::parse_choice("balanced", {"static", "balanced"}), 1u);
-  EXPECT_FALSE(util::parse_choice("stat", {"static", "balanced"}).has_value());
-  EXPECT_FALSE(util::parse_choice("", {"static", "balanced"}).has_value());
-  EXPECT_FALSE(
-      util::parse_choice(nullptr, {"static", "balanced"}).has_value());
 }
 
 }  // namespace
