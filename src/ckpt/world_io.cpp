@@ -69,23 +69,23 @@ E read_enum(Reader& r, const char* field, E last) {
 }  // namespace
 
 struct WorldIo {
-  // FNV over the active-message handler registry: count, names, categories.
-  // Handler names embed every pattern, class and size class ("msg:acc",
-  // "create:Counter", "replenish:3"), and ids are positional, so a matching
-  // fingerprint means every handler/pattern id in the snapshot dereferences
-  // to the same specialized procedure in the restoring process.
+  // Checksum over the active-message handler registry: count, names,
+  // categories. Handler names embed every pattern, class and size class
+  // ("msg:acc", "create:Counter", "replenish:3"), and ids are positional,
+  // so a matching fingerprint means every handler/pattern id in the
+  // snapshot dereferences to the same specialized procedure in the
+  // restoring process.
   static std::uint64_t fingerprint(const core::Program& prog) {
     const net::AmRegistry& am = prog.am();
-    std::uint64_t n = am.size();
-    std::uint64_t h = fnv1a(&n, sizeof n);
+    const std::uint64_t n = am.size();
+    std::string bytes(reinterpret_cast<const char*>(&n), sizeof n);
     for (std::uint64_t i = 0; i < n; ++i) {
       const net::AmRegistry::Entry& e =
           am.entry(static_cast<net::HandlerId>(i));
-      h = fnv1a(e.name.data(), e.name.size(), h);
-      auto cat = static_cast<std::uint8_t>(e.category);
-      h = fnv1a(&cat, sizeof cat, h);
+      bytes += e.name;
+      bytes += static_cast<char>(e.category);
     }
-    return h;
+    return checksum(bytes.data(), bytes.size());
   }
 
   // ----- whole world -------------------------------------------------------

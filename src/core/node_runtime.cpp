@@ -1,6 +1,7 @@
 #include "core/node_runtime.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 namespace abcl::core {
@@ -983,13 +984,17 @@ void NodeRuntime::maybe_shed() {
   const remote::MigrationConfig& mc = cfg_.migration;
   if (mc.interval == 0 || quanta_run_ % mc.interval != 0) return;
   // Fresh gossip samples in the topology's fixed neighbour order, so the
-  // policy sees an identical vector in every driver.
-  std::vector<std::pair<std::int32_t, std::uint32_t>> loads;
+  // policy sees an identical sequence in every driver.
+  std::array<std::pair<std::int32_t, std::uint32_t>,
+             net::Topology::kMaxNeighbors>
+      loads;
+  std::size_t nloads = 0;
   for (NodeId nb : net_->topology().neighbors(id_)) {
-    if (auto l = known_load(nb)) loads.emplace_back(nb, *l);
+    if (auto l = known_load(nb)) loads[nloads++] = {nb, *l};
   }
   auto depth = static_cast<std::uint32_t>(sched_.size());
-  auto d = remote::decide_shed(mc, id_, quanta_run_, depth, loads);
+  auto d = remote::decide_shed(mc, id_, quanta_run_, depth,
+                               {loads.data(), nloads});
   if (!d) return;
   // Candidates in run-queue FIFO order: the objects that have waited
   // longest are shipped first (canonical shed order; DESIGN.md).

@@ -13,21 +13,26 @@ Topology::Topology(TopologyKind kind, std::int32_t n) : kind_(kind), n_(n) {
   if (kind_ == TopologyKind::kFullyConnected || kind_ == TopologyKind::kRing) {
     x_ = n;
     y_ = 1;
-    return;
-  }
-  if (kind_ == TopologyKind::kHypercube) {
+  } else if (kind_ == TopologyKind::kHypercube) {
     ABCL_CHECK_MSG((n & (n - 1)) == 0, "hypercube needs a power-of-two size");
     x_ = n;
     y_ = 1;
-    return;
+  } else {
+    // Pick the factorization X * Y = n with X >= Y and X - Y minimal.
+    std::int32_t best_y = 1;
+    for (std::int32_t y = 1; y * y <= n; ++y) {
+      if (n % y == 0) best_y = y;
+    }
+    y_ = best_y;
+    x_ = n / best_y;
   }
-  // Pick the factorization X * Y = n with X >= Y and X - Y minimal.
-  std::int32_t best_y = 1;
-  for (std::int32_t y = 1; y * y <= n; ++y) {
-    if (n % y == 0) best_y = y;
+  adj_off_.reserve(static_cast<std::size_t>(n) + 1);
+  adj_off_.push_back(0);
+  for (NodeId id = 0; id < n; ++id) {
+    build_neighbors(id);
+    ABCL_CHECK(adj_.size() - adj_off_.back() <= kMaxNeighbors);
+    adj_off_.push_back(adj_.size());
   }
-  y_ = best_y;
-  x_ = n / best_y;
 }
 
 std::int32_t Topology::hops(NodeId src, NodeId dst) const {
@@ -58,22 +63,24 @@ std::int32_t Topology::hops(NodeId src, NodeId dst) const {
   ABCL_UNREACHABLE();
 }
 
-std::vector<NodeId> Topology::neighbors(NodeId id) const {
-  std::vector<NodeId> out;
+// Appends `id`'s neighbours to adj_ in the fixed order every consumer
+// (gossip, shed, neighbour placement) relies on.
+void Topology::build_neighbors(NodeId id) {
+  const std::size_t first = adj_.size();
   if (kind_ == TopologyKind::kFullyConnected) {
-    for (std::int32_t i = 0; i < n_ && out.size() < 8; ++i) {
-      if (i != id) out.push_back(i);
+    for (std::int32_t i = 0; i < n_ && adj_.size() - first < 8; ++i) {
+      if (i != id) adj_.push_back(i);
     }
-    return out;
+    return;
   }
   if (kind_ == TopologyKind::kRing) {
-    if (n_ > 1) out.push_back((id + 1) % n_);
-    if (n_ > 2) out.push_back((id + n_ - 1) % n_);
-    return out;
+    if (n_ > 1) adj_.push_back((id + 1) % n_);
+    if (n_ > 2) adj_.push_back((id + n_ - 1) % n_);
+    return;
   }
   if (kind_ == TopologyKind::kHypercube) {
-    for (std::int32_t bit = 1; bit < n_; bit <<= 1) out.push_back(id ^ bit);
-    return out;
+    for (std::int32_t bit = 1; bit < n_; bit <<= 1) adj_.push_back(id ^ bit);
+    return;
   }
   std::int32_t cx = coord_x(id);
   std::int32_t cy = coord_y(id);
@@ -86,16 +93,15 @@ std::vector<NodeId> Topology::neighbors(NodeId id) const {
     }
     NodeId nid = ny * x_ + nx;
     if (nid == id) return;  // wrap-around on a dimension of size 1
-    for (NodeId seen : out) {
-      if (seen == nid) return;
+    for (std::size_t k = first; k < adj_.size(); ++k) {
+      if (adj_[k] == nid) return;
     }
-    out.push_back(nid);
+    adj_.push_back(nid);
   };
   add(cx - 1, cy);
   add(cx + 1, cy);
   add(cx, cy - 1);
   add(cx, cy + 1);
-  return out;
 }
 
 std::int32_t Topology::diameter() const {

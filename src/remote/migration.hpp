@@ -23,9 +23,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace abcl::remote {
 
@@ -108,9 +108,11 @@ struct ShedDecision {
 //
 // Every input is a simulated quantity, so serial and host-parallel drivers
 // reach identical decisions at identical quanta.
+// Allocation-free: `neighbor_loads` holds at most
+// net::Topology::kMaxNeighbors samples.
 std::optional<ShedDecision> decide_shed(
     const MigrationConfig& cfg, std::int32_t node, std::uint64_t quantum,
     std::uint32_t depth,
-    const std::vector<std::pair<std::int32_t, std::uint32_t>>& neighbor_loads);
+    std::span<const std::pair<std::int32_t, std::uint32_t>> neighbor_loads);
 
 }  // namespace abcl::remote

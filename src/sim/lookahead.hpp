@@ -6,17 +6,19 @@
 // wire_min + per_hop * hops(j, i), so node i is causally shielded from j for
 // per_hop * hops(j, i) extra instructions. The per-node horizon
 //
-//   H_i = wire_min + min_{j != i} (key_j + per_hop * hops(j, i))
+//   H_i = wire_min + min(key_i, min_{j != i} (key_j + per_hop * hops(j, i)))
 //
 // is therefore still conservative — any packet that could affect a quantum
 // of node i with key < H_i was sent by some j at key >= key_j and arrives at
 // >= key_j + wire_min + per_hop * hops(j, i) >= H_i — while letting nodes far
-// from the global minimum run far ahead. Crucially the self term j == i is
-// excluded: the runtime never sends a packet to its own node (local delivery
-// short-circuits before Network::send on every path), so a node's own key
-// does not bound its horizon. An isolated busy node (all others idle at
-// kInstrInf) gets H_i = kInstrInf and drains in a single window, where the
-// flat bound would re-barrier every wire_min instructions.
+// from the global minimum run far ahead. The self term j == i (hops = 0)
+// must stay in: the runtime does send packets to its own node (a
+// remote-create whose placement picks the caller's node ships a real packet
+// through Network::send), and a run without it diverged from the serial
+// driver (fuzz seed 7). HorizonMap::relax computes only the exclude-self
+// part; the caller folds key_i back in. Idle peers (kInstrInf) bound
+// nobody, so a busy node far from every other busy node runs up to its own
+// key + wire_min instead of re-barriering at the global minimum's.
 //
 // HorizonMap computes the hop term B_i = min_{j != i} (key_j + per_hop *
 // hops(j, i)) for all i in O(N) per call (O(N log N) for the hypercube) via

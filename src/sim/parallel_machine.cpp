@@ -42,9 +42,9 @@ ParallelMachine::ParallelMachine(std::vector<NodeExec*> nodes,
     // the real price. Positivity for j != i follows from the network's
     // ctor invariant wire_latency + per_hop > 0 and hops >= 1.
     dist_base_ = net_->min_packet_latency_raw();
-    node_key_.assign(nodes_.size(), kInstrInf);
     horizons_.assign(nodes_.size(), 0);
   }
+  node_key_.assign(nodes_.size(), kInstrInf);
   if (workers_.size() > 1) {
     balancer_ = std::make_unique<ShardBalancer>(
         static_cast<std::int32_t>(nodes_.size()),
@@ -71,25 +71,28 @@ void ParallelMachine::run_shard(Worker& w) {
   std::uint64_t active = 0;
   for (NodeId id : w.shard) {
     const auto idx = static_cast<std::size_t>(id);
-    NodeExec& n = *nodes_[idx];
     const Instr horizon = distance ? horizons_[idx] : global_horizon;
-    const std::uint64_t before = w.quanta;
-    Instr key;
-    while (true) {
-      key = effective_key(n);
-      if (key >= horizon || key > max_time) break;
-      if (n.clock() < key) n.advance_clock(key);
-      w.outbox.set_current_key(key);
-      w.traces.set_current_key(key);
-      n.step();
-      ++w.quanta;
+    // The cached key is exact at window start (see node_key_), so a node
+    // outside the window is skipped without touching it.
+    Instr key = node_key_[idx];
+    if (key < horizon && key <= max_time) {
+      NodeExec& n = *nodes_[idx];
+      const std::uint64_t before = w.quanta;
+      do {
+        if (n.clock() < key) n.advance_clock(key);
+        w.outbox.set_current_key(key);
+        w.traces.set_current_key(key);
+        n.step();
+        ++w.quanta;
+        key = effective_key(n);
+      } while (key < horizon && key <= max_time);
+      ++active;
+      if (balanced) window_quanta_[idx] += w.quanta - before;
+      // The break-time key is the node's final key for this window: nothing
+      // else touches the node until the flush, whose deliveries are folded
+      // in via notify_work.
+      node_key_[idx] = key;
     }
-    if (w.quanta != before) ++active;
-    if (balanced) window_quanta_[idx] += w.quanta - before;
-    // The break-time key is the node's final key for this window: nothing
-    // else touches the node until the flush, whose deliveries are folded in
-    // via notify_work (which also refreshes node_key_).
-    if (distance) node_key_[idx] = key;
     if (key < shard_min) shard_min = key;
   }
   w.shard_min = shard_min;
@@ -224,7 +227,15 @@ void ParallelMachine::apply_rebalance() {
 void ParallelMachine::notify_work(NodeId dst) {
   Instr k = effective_key(*nodes_[static_cast<std::size_t>(dst)]);
   if (k < notified_min_) notified_min_ = k;
-  if (distance_) node_key_[static_cast<std::size_t>(dst)] = k;
+  node_key_[static_cast<std::size_t>(dst)] = k;
+}
+
+void ParallelMachine::audit_keys() const {
+#ifndef NDEBUG
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    ABCL_DCHECK(node_key_[i] == effective_key(*nodes_[i]));
+  }
+#endif
 }
 
 Driver::RunReport ParallelMachine::run(Instr max_time) {
@@ -254,21 +265,24 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
     epoch_.store(0, std::memory_order_relaxed);
     stop_.store(false, std::memory_order_relaxed);
     for (auto& w : workers_) w.done.store(0, std::memory_order_relaxed);
-    threads_.reserve(workers_.size());
-    for (auto& w : workers_) {
+    // The coordinator executes workers_[0]'s shard itself, so a T-worker
+    // run occupies T threads, not T + 1.
+    threads_.reserve(workers_.size() - 1);
+    for (std::size_t i = 1; i < workers_.size(); ++i) {
+      Worker& w = workers_[i];
       threads_.emplace_back([this, &w] { worker_main(w); });
     }
   }
 
-  // One full scan seeds the window loop (and, under distance horizons, the
-  // per-node key vector); afterwards both are maintained incrementally —
-  // each worker reports its shard's keys and flush-time deliveries fold in
+  // One full scan seeds the window loop and the cached key array (work
+  // injected between runs, e.g. World::boot, changes keys behind the
+  // driver's back); afterwards both are maintained incrementally — each
+  // worker reports its shard's keys and flush-time deliveries fold in
   // through notify_work.
   Instr min_key = kInstrInf;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    Instr k = effective_key(*nodes_[i]);
-    if (distance_) node_key_[i] = k;
-    if (k < min_key) min_key = k;
+    node_key_[i] = effective_key(*nodes_[i]);
+    if (node_key_[i] < min_key) min_key = node_key_[i];
   }
 
   // Repack the shards at most once per N committed quanta. A repack costs
@@ -277,28 +291,30 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
   // of the shard map at every barrier.
   std::uint64_t rebalance_at = nodes_.size();
   while (min_key != kInstrInf && min_key <= max_time) {
+    audit_keys();
     window_horizon_ = sat_add(min_key, lookahead_);
     window_max_time_ = max_time;
     if (distance_) compute_horizons();
 
+    std::uint64_t e = 0;
     if (threaded) {
-      std::uint64_t e = epoch_.fetch_add(1, std::memory_order_release) + 1;
+      e = epoch_.fetch_add(1, std::memory_order_release) + 1;
       { std::lock_guard<std::mutex> lk(wake_mu_); }
       epoch_cv_.notify_all();
-      for (auto& w : workers_) {
-        int spins = 0;
-        while (w.done.load(std::memory_order_acquire) != e) {
-          if (++spins >= spin_limit_) {
-            std::unique_lock<std::mutex> lk(wake_mu_);
-            done_cv_.wait(lk, [&] {
-              return w.done.load(std::memory_order_acquire) == e;
-            });
-            break;
-          }
+    }
+    run_shard(workers_[0]);
+    for (std::size_t i = 1; i < workers_.size(); ++i) {
+      Worker& w = workers_[i];
+      int spins = 0;
+      while (w.done.load(std::memory_order_acquire) != e) {
+        if (++spins >= spin_limit_) {
+          std::unique_lock<std::mutex> lk(wake_mu_);
+          done_cv_.wait(lk, [&] {
+            return w.done.load(std::memory_order_acquire) == e;
+          });
+          break;
         }
       }
-    } else {
-      run_shard(workers_[0]);
     }
 
     notified_min_ = kInstrInf;

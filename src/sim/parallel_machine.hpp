@@ -11,14 +11,27 @@
 // Distance-aware horizons: the flat bound ignores that a packet from j to i
 // is priced at >= lookahead + per_hop * hops(j, i), so node i may instead
 // run to the per-node horizon
-//   H_i = lookahead + min_{j != i} (key_j + per_hop * hops(j, i))
-// computed each window by sim::HorizonMap in O(N) (see lookahead.hpp for the
-// exclude-self transforms and why excluding j == i is sound: the runtime
-// never sends to its own node). Windows get wider the farther a node sits
-// from the global minimum — an isolated busy node runs to quiescence in one
-// window — which only changes *when* barriers happen, never what executes:
-// any conservative window executes the same quanta with the same inputs as
-// the serial driver.
+//   H_i = lookahead + min(key_i, min_{j != i} (key_j + per_hop * hops(j, i)))
+// computed each window in O(N): sim::HorizonMap supplies the exclude-self
+// hop term (see lookahead.hpp for its transforms) and compute_horizons()
+// folds the node's own key back in at hops = 0. The self term is needed:
+// the runtime does send packets to its own node (a remote-create whose
+// placement picks the caller's node), and without it a node could run past
+// the arrival of a packet it has not sent yet. Windows get wider the
+// farther a node sits from the global minimum, which only changes *when*
+// barriers happen, never what executes: any conservative window executes
+// the same quanta with the same inputs as the serial driver.
+//
+// Cached window keys: node_key_[i] holds node i's effective key and is
+// exact at every window start. Between runs anything may move a key
+// (World::boot), so run() entry rescans every node; inside a run only the
+// node's own quanta and flush-time deliveries move it, so run_shard stores
+// the key at each node's break and notify_work refreshes every delivery's
+// destination. A node whose cached key is outside its window (>= its
+// horizon, or > max_time) would not execute a quantum, so run_shard skips
+// it with one compare and no virtual call: a window costs O(nodes) array
+// reads plus the work it actually runs. Debug builds audit the cache at
+// every window start.
 //
 // Determinism: workers never touch the shared network state. Sends are
 // buffered into per-worker outboxes, stamped with the issuing quantum's
@@ -59,6 +72,9 @@
 // written by the coordinator between windows and published by the
 // release/acquire pair on epoch_.
 //
+// Threads: with T > 1 workers the coordinator runs workers_[0]'s shard
+// itself between publishing an epoch and waiting at the barrier, and T - 1
+// spawned threads run the rest, so a run occupies T threads, not T + 1.
 // Epoch waits are spin-then-park: a bounded busy-wait burst (skipped
 // entirely on single-core hosts, where spinning only steals cycles from
 // the thread being waited on), then a condvar park. The atomics still
@@ -105,9 +121,10 @@ class ParallelMachine : public Driver {
   ~ParallelMachine() override;
 
   // Only ever invoked on the coordinator thread (commits happen at window
-  // barriers or outside run()); folds the destination's new key into the
-  // running minimum for the next window. Arrivals only lower next_wake, so
-  // min over notification-time keys equals the post-flush key.
+  // barriers or outside run()); refreshes the destination's cached key and
+  // folds it into the running minimum for the next window. Arrivals only
+  // lower next_wake, so min over notification-time keys equals the
+  // post-flush key.
   void notify_work(NodeId dst) override;
   RunReport run(Instr max_time = kInstrInf) override;
 
@@ -166,6 +183,8 @@ class ParallelMachine : public Driver {
   };
 
   Instr effective_key(NodeExec& n) const;
+  // Debug builds: every cached key equals the node's effective key.
+  void audit_keys() const;
   void run_shard(Worker& w);
   void worker_main(Worker& w);
   void compute_horizons();
@@ -197,14 +216,16 @@ class ParallelMachine : public Driver {
   std::condition_variable epoch_cv_;  // workers park here between windows
   std::condition_variable done_cv_;   // coordinator parks here at barriers
 
-  // Distance-horizon state: per-node window-start keys (each worker writes
-  // only its shard's slots; the coordinator folds flush-time deliveries in
-  // via notify_work) and the per-node horizons derived from them.
+  // Per-node window-start keys under both policies (see file header): each
+  // worker writes only its shard's slots; the coordinator folds flush-time
+  // deliveries in via notify_work.
+  std::vector<Instr> node_key_;
+
+  // Distance-horizon state: the per-node horizons derived from node_key_.
   std::unique_ptr<HorizonMap> hmap_;
   // Unclamped wire floor for the per-pair bound (see ctor); the clamped
   // lookahead_ stays the flat policy's window width.
   Instr dist_base_ = 1;
-  std::vector<Instr> node_key_;
   std::vector<Instr> node_bound_;  // relax() scratch
   std::vector<Instr> horizons_;
 

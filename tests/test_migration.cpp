@@ -139,7 +139,9 @@ TEST(ShedPolicy, HysteresisBandHolds) {
 
 TEST(ShedPolicy, QuotaIsCappedAtMaxBatch) {
   const MigrationConfig cfg = policy_cfg();
-  auto d = remote::decide_shed(cfg, 0, 64, 100, {{1, 0}, {2, 0}});
+  const std::vector<std::pair<std::int32_t, std::uint32_t>> idle = {{1, 0},
+                                                                    {2, 0}};
+  auto d = remote::decide_shed(cfg, 0, 64, 100, idle);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->quota, cfg.max_batch);
 }

@@ -3,7 +3,9 @@
 // brute force, the line transform it is built from, the ShardBalancer's
 // deterministic LPT packing, and the ParallelMachine's worker-count-derived
 // policies: byte-identity to serial at 1/2/8 workers, and the fault and
-// null-network fallbacks to the flat window.
+// null-network fallbacks to the flat window. The cached window keys are
+// exercised where they can go stale: flush-time wakeups of idle nodes and
+// work injected between run(max_time) slices.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -11,13 +13,16 @@
 #include <vector>
 
 #include "apps/nqueens.hpp"
+#include "apps/pingpong.hpp"
 #include "net/fault.hpp"
 #include "net/topology.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "sim/lookahead.hpp"
 #include "sim/parallel_machine.hpp"
 #include "sim/shard_balance.hpp"
+#include "sim/trace.hpp"
 
 namespace {
 
@@ -377,6 +382,143 @@ TEST(WindowPolicy, DriverMetricsJsonSnapshotsTheCounters) {
             pm->rebalances());
   EXPECT_EQ(static_cast<std::uint64_t>(doc->find("shard_moves")->integer),
             pm->shard_moves());
+}
+
+// --------------------------------------------------- cached window keys ---
+
+// Byte-level fingerprint of a run: metrics_json plus the full trace.
+struct RunFp {
+  std::string metrics;
+  std::string trace;
+  Instr sim_time = 0;
+  std::uint64_t quanta = 0;
+  bool operator==(const RunFp&) const = default;
+};
+
+const apps::PingPongProgram& pingpong_program(core::Program** prog_out) {
+  static core::Program* prog = nullptr;
+  static apps::PingPongProgram pp;
+  if (prog == nullptr) {
+    prog = new core::Program();
+    pp = apps::register_pingpong(*prog);
+    prog->finalize();
+  }
+  *prog_out = prog;
+  return pp;
+}
+
+// Creates a ping-pong pair on nodes a and b (each bouncing `rounds` times)
+// and serves the first ball, all as boot code.
+void boot_pair(World& world, const apps::PingPongProgram& pp, NodeId a,
+               NodeId b, Word rounds) {
+  MailAddr oa, ob;
+  world.boot(a, [&](Ctx& ctx) { oa = ctx.create_local(*pp.cls, &rounds, 1); });
+  world.boot(b, [&](Ctx& ctx) { ob = ctx.create_local(*pp.cls, &rounds, 1); });
+  world.boot(a, [&](Ctx& ctx) {
+    Word peer_b[2] = {ob.word_node(), ob.word_ptr()};
+    ctx.send_past(oa, pp.set_peer, peer_b, 2);
+    Word peer_a[2] = {oa.word_node(), oa.word_ptr()};
+    ctx.send_past(ob, pp.set_peer, peer_a, 2);
+    ctx.send_past(oa, pp.ball, nullptr, 0);
+  });
+}
+
+RunFp fingerprint(World& world, const sim::Tracer& tracer, Instr sim_time,
+                  std::uint64_t quanta) {
+  RunFp fp;
+  fp.metrics = obs::metrics_json(world);
+  fp.trace = obs::chrome_trace_json(tracer);
+  fp.sim_time = sim_time;
+  fp.quanta = quanta;
+  return fp;
+}
+
+// One ping-pong pair between nodes 0 and 15 of a 16-node torus: at every
+// bounce the receiver is idle (nothing queued, nothing in flight) when the
+// window opens, and only the barrier's flush makes it runnable, so it must
+// run in a later window from a key that notify_work refreshed.
+TEST(CachedKeys, FlushWokenIdleNodeRunsInTheNextWindow) {
+  core::Program* prog = nullptr;
+  const apps::PingPongProgram& pp = pingpong_program(&prog);
+  auto run_at = [&](int host_threads, std::uint64_t* windows) {
+    WorldConfig cfg;
+    cfg.with_nodes(16);
+    cfg.with_host_threads(host_threads);
+    World world(*prog, cfg);
+    sim::Tracer tracer(1u << 16);
+    world.attach_tracer(&tracer);
+    boot_pair(world, pp, 0, 15, 12);
+    RunReport rep = world.run();
+    if (auto* pm = dynamic_cast<sim::ParallelMachine*>(&world.machine())) {
+      *windows = pm->windows_run();
+    }
+    return fingerprint(world, tracer, rep.sim_time, rep.quanta);
+  };
+  std::uint64_t windows = 0;
+  const RunFp serial = run_at(-1, &windows);
+  // The set_peer packet plus 12 balls each way, each delivered to an idle
+  // node (the first serve runs inside boot).
+  EXPECT_GE(serial.quanta, 25u);
+  for (int t : {1, 2, 8}) {
+    windows = 0;
+    EXPECT_EQ(run_at(t, &windows), serial) << "threads=" << t;
+    // Every ball crosses the network to an idle node, so each bounce needs
+    // a barrier of its own.
+    EXPECT_GE(windows, 25u) << "threads=" << t;
+  }
+}
+
+// run(max_time) slices with World::boot between them. Under the naive
+// scheduling policy every local send goes through the scheduling queue, so
+// a boot leaves the node runnable at its clock without any packet, and no
+// notify_work announces it: run() must refresh its cached keys on entry.
+// Slices without boots must equal one uninterrupted run; slices with boots
+// must equal the serial Machine driving the same slices.
+TEST(CachedKeys, RunSlicesWithBootsBetweenThemMatchSerial) {
+  core::Program* prog = nullptr;
+  const apps::PingPongProgram& pp = pingpong_program(&prog);
+  auto run_at = [&](int host_threads, bool sliced, bool boots, Instr total) {
+    WorldConfig cfg;
+    cfg.with_nodes(16);
+    cfg.with_host_threads(host_threads);
+    cfg.node.policy = core::SchedPolicy::kNaive;
+    World world(*prog, cfg);
+    sim::Tracer tracer(1u << 16);
+    world.attach_tracer(&tracer);
+    boot_pair(world, pp, 0, 5, 16);
+    RunReport rep;
+    std::uint64_t quanta = 0;
+    if (!sliced) {
+      rep = world.run();
+      quanta = rep.quanta;
+    } else {
+      for (int k = 1; k <= 3; ++k) {
+        rep = world.run(total * static_cast<Instr>(k) / 4);
+        quanta += rep.quanta;
+        EXPECT_EQ(rep.stop_reason, StopReason::kMaxTime) << "slice " << k;
+        // Wake two untouched nodes between slices: pure boot-time work
+        // the driver never saw being created.
+        if (boots) {
+          boot_pair(world, pp, static_cast<NodeId>(8 + k),
+                    static_cast<NodeId>(12 + k), 4);
+        }
+      }
+      rep = world.run();
+      quanta += rep.quanta;
+    }
+    EXPECT_EQ(rep.stop_reason, StopReason::kQuiesced);
+    return fingerprint(world, tracer, rep.sim_time, quanta);
+  };
+  const RunFp whole = run_at(-1, false, false, 0);
+  ASSERT_GT(whole.sim_time, 0u);
+  const RunFp sliced_serial = run_at(-1, true, true, whole.sim_time);
+  EXPECT_NE(sliced_serial.metrics, whole.metrics);  // the boots added work
+  for (int t : {1, 2, 8}) {
+    EXPECT_EQ(run_at(t, true, false, whole.sim_time), whole)
+        << "threads=" << t;
+    EXPECT_EQ(run_at(t, true, true, whole.sim_time), sliced_serial)
+        << "threads=" << t;
+  }
 }
 
 }  // namespace
