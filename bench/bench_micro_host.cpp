@@ -184,6 +184,53 @@ void BM_BinaryHeapPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_BinaryHeapPushPop)->Arg(16)->Arg(256)->Arg(4096);
 
+// Shallow-sparse delivery traffic: most per-destination delivery queues
+// hold one to three packets, and the queue empties before the next burst
+// of arrivals. Each iteration pushes a burst of 1..state.range(0) entries
+// spread over up to 1024 keys (wider than a ring of 64 width-1 buckets)
+// and pops it to empty; the clock then moves on by 64..575 keys. Items are
+// pushed entries.
+template <class Q>
+void queue_shallow_sparse(benchmark::State& state) {
+  const auto max_depth = static_cast<std::uint64_t>(state.range(0));
+  Q q;
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  sim::Instr t = 0;
+  std::int32_t id = 0;
+  std::int64_t items = 0;
+  for (auto _ : state) {
+    const auto depth = static_cast<int>(1 + next() % max_depth);
+    t += 64 + static_cast<sim::Instr>(next() % 512);
+    q.push({t, id++});
+    for (int i = 1; i < depth; ++i) {
+      q.push({t + static_cast<sim::Instr>(next() % 1024), id++});
+    }
+    while (!q.empty()) {
+      benchmark::DoNotOptimize(q.top());
+      q.pop();
+    }
+    items += depth;
+  }
+  state.SetItemsProcessed(items);
+}
+
+void BM_BucketQueueShallowSparse(benchmark::State& state) {
+  queue_shallow_sparse<util::BucketQueue<QEntry, QKey, QLess>>(state);
+}
+BENCHMARK(BM_BucketQueueShallowSparse)->Arg(1)->Arg(2)->Arg(3);
+
+void BM_BinaryHeapShallowSparse(benchmark::State& state) {
+  queue_shallow_sparse<
+      std::priority_queue<QEntry, std::vector<QEntry>, QGreater>>(state);
+}
+BENCHMARK(BM_BinaryHeapShallowSparse)->Arg(1)->Arg(2)->Arg(3);
+
 // ---- barrier flush ----------------------------------------------------------
 
 // The coordinator-side cost of committing a window's sends from 8 worker

@@ -222,7 +222,6 @@ struct WorldIo {
     for (std::uint64_t& s : n.src_seq_) s = r.u64();
     load_channel_words(r, n.use_matrix_, n.channel_matrix_, n.channel_map_);
 
-    std::uint64_t total = 0;
     for (std::size_t dst = 0; dst < n.queues_.size(); ++dst) {
       std::uint64_t count = r.u64();
       for (std::uint64_t i = 0; i < count; ++i) {
@@ -231,9 +230,7 @@ struct WorldIo {
         n.queues_[dst].push(net::Network::QueuedPacket{
             slot->arrive_time, slot->src, slot->seq, slot});
       }
-      total += count;
     }
-    n.in_flight_.store(total, std::memory_order_relaxed);
 
     if (n.fault_plan_ != nullptr) {
       r.raw_into(n.fault_commit_);
@@ -353,6 +350,7 @@ struct WorldIo {
     // accounting continues as if the run had never stopped.
     rt->quantum_start_clock_ = rt->clock_;
     rt->quanta_run_ = r.u64();
+    rt->rearm_periodic();
     rt->total_created_ = r.u64();
     rt->live_objects_ = r.u64();
     rt->live_head_ = word_ptr<core::ObjectHeader>(r.u64());

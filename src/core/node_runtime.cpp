@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <limits>
 
 namespace abcl::core {
 
@@ -26,6 +27,7 @@ NodeRuntime::NodeRuntime(NodeId id, Program& prog, net::Network& net,
       pool_(arena_),
       rng_(cfg.seed * 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(id) + 1) {
   ABCL_CHECK_MSG(prog.finalized(), "Program must be finalized before nodes start");
+  rearm_periodic();
 }
 
 NodeRuntime::~NodeRuntime() {
@@ -95,13 +97,30 @@ void NodeRuntime::step() {
   // Shed check before the dispatch: the decision reads the run-queue depth
   // the quantum started with (pure function of pre-quantum state, like the
   // poll loop above).
-  if (cfg_.migration.enabled) maybe_shed();
+  if (quanta_run_ == next_shed_quantum_) maybe_shed();
 
   if (ObjectHeader* o = sched_.pop()) run_sched_item(o);
 
-  if (cfg_.gossip_interval != 0 && quanta_run_ % cfg_.gossip_interval == 0) {
+  if (quanta_run_ == next_gossip_quantum_) {
+    next_gossip_quantum_ += cfg_.gossip_interval;
     gossip_load_now();
   }
+}
+
+namespace {
+
+// First multiple of `interval` above `q`; never reached when interval is 0.
+std::uint64_t next_multiple_after(std::uint64_t q, std::uint32_t interval) {
+  if (interval == 0) return std::numeric_limits<std::uint64_t>::max();
+  return (q / interval + 1) * interval;
+}
+
+}  // namespace
+
+void NodeRuntime::rearm_periodic() {
+  next_shed_quantum_ = next_multiple_after(
+      quanta_run_, cfg_.migration.enabled ? cfg_.migration.interval : 0);
+  next_gossip_quantum_ = next_multiple_after(quanta_run_, cfg_.gossip_interval);
 }
 
 // ----------------------------------------------------------------------------
@@ -944,9 +963,15 @@ std::optional<std::pair<MailAddr, std::uint32_t>> NodeRuntime::peek_forward(
 
 bool NodeRuntime::route_send(MailAddr& t, PatternId p, const Word* args,
                              int nargs, const ReplyDest& rd) {
-  // Guard keeps the migration-off hot path byte-identical: no lookup, no
-  // charge, until the first kUpdateAddr ever lands on this node.
-  if (redirects_.empty()) return true;
+  // A local target never has a redirect entry: kUpdateAddr is never sent
+  // to its own node (send_update_addr), so every key names an object in
+  // another node's heap, and node heaps never share addresses. Local sends
+  // — most sends — skip the lookup, as do all sends until the first
+  // kUpdateAddr lands on this node.
+  if (t.node == id_ || redirects_.empty()) {
+    ABCL_DCHECK(t.node != id_ || !redirects_.contains(t.word_ptr()));
+    return true;
+  }
   int hops = 0;
   for (;;) {
     auto it = redirects_.find(t.word_ptr());
@@ -967,6 +992,10 @@ bool NodeRuntime::route_send(MailAddr& t, PatternId p, const Word* args,
     }
     t = e.fwd;
     ABCL_CHECK_MSG(++hops <= 64, "redirect chain too long (cycle?)");
+    if (t.node == id_) {
+      ABCL_DCHECK(!redirects_.contains(t.word_ptr()));
+      return true;
+    }
   }
 }
 
@@ -982,7 +1011,7 @@ void NodeRuntime::send_resolved(MailAddr t, PatternId p, const Word* args,
 
 void NodeRuntime::maybe_shed() {
   const remote::MigrationConfig& mc = cfg_.migration;
-  if (mc.interval == 0 || quanta_run_ % mc.interval != 0) return;
+  next_shed_quantum_ += mc.interval;
   // Fresh gossip samples in the topology's fixed neighbour order, so the
   // policy sees an identical sequence in every driver.
   std::array<std::pair<std::int32_t, std::uint32_t>,
@@ -1307,6 +1336,8 @@ void NodeRuntime::send_update_addr(NodeId to, Word key_ptr, MailAddr dest,
 }
 
 void NodeRuntime::on_update_addr(const net::Packet& pkt) {
+  // route_send's local shortcut relies on this: no key is a local object.
+  ABCL_DCHECK(pkt.src != id_);
   const Word key = pkt.at(0);
   const MailAddr dest = MailAddr::from_words(pkt.at(1), pkt.at(2));
   const auto epoch = static_cast<std::uint32_t>(pkt.at(3));
@@ -1379,15 +1410,15 @@ void NodeRuntime::deliver_flush_ack_local(Word key_ptr, std::uint32_t epoch) {
   // belongs to the superseded flush and must not release the mail early.
   if (!e.flushing || e.epoch != epoch) return;
   e.flushing = false;
-  // Move the held mail out before draining: each drained message re-routes
-  // from the key (the entry is open now, but a *chained* entry downstream
-  // may hold it again), and route_send may insert into redirects_,
-  // invalidating `e`.
+  // The entry is open now, so each held message takes its first hop to
+  // e.fwd and re-routes from there (a *chained* entry downstream may hold
+  // it again). Copy both out first, so the drain, which runs user code,
+  // holds no reference into redirects_.
+  const MailAddr first_hop = e.fwd;
   std::vector<HeldMsg> held = std::move(e.held);
   e.held.clear();
   for (const HeldMsg& h : held) {
-    MailAddr t{id_, reinterpret_cast<ObjectHeader*>(key_ptr)};  // node unused:
-    // route_send resolves purely by pointer key and this key has an entry.
+    MailAddr t = first_hop;
     if (route_send(t, h.pattern, h.args, h.nargs, h.rd)) {
       send_resolved(t, h.pattern, h.args, h.nargs, h.rd);
     }

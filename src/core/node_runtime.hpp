@@ -393,6 +393,10 @@ class NodeRuntime final : public sim::NodeExec {
   void deliver_reply_local(ReplyBox* box, const Word* vals, int n);
   void naive_local_send(ObjectHeader* o, const MsgView& m);
 
+  // Sets the next shed/gossip quanta from quanta_run_ (construction and
+  // restore; the snapshot does not carry them).
+  void rearm_periodic();
+
   // Migration internals (node_runtime.cpp, migration section).
   void maybe_shed();
   void attach_migrated(Word old_ptr_word, InboundMigration& in);
@@ -458,6 +462,11 @@ class NodeRuntime final : public sim::NodeExec {
   std::size_t live_objects_ = 0;
   std::uint64_t total_created_ = 0;
   std::uint64_t quanta_run_ = 0;
+  // The quanta_run_ values at which the next shed check and load gossip
+  // fire: the multiples of their intervals, tracked by addition so a
+  // quantum pays no division. Derived from quanta_run_ (rearm_periodic).
+  std::uint64_t next_shed_quantum_ = 0;
+  std::uint64_t next_gossip_quantum_ = 0;
 
   remote::ChunkStock stock_;
   remote::LoadMap loads_;

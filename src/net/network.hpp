@@ -20,8 +20,9 @@
 // flush_outboxes commits them at the window barrier in the serial driver's
 // canonical order (quantum key, src, program order), so seqs, channel
 // floors, and Stats are bit-identical to a serial run. Destination queues
-// are only popped by the worker that owns the destination node, so the only
-// send/poll-shared word is the in-flight count, which is atomic.
+// are only popped by the worker that owns the destination node and only
+// pushed at the barrier, so sends and polls share no word; the in-flight
+// count is derived from the queue sizes, which are read only between runs.
 //
 // Commit-path hot loop: each worker pre-sorts its own outbox into canonical
 // (quantum key, src) order in parallel before the barrier
@@ -44,7 +45,6 @@
 // reads them.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -195,10 +195,12 @@ class Network {
   // The pricing model (per_hop feeds the distance-aware lookahead).
   const sim::CostModel& cost_model() const { return *cm_; }
 
-  bool idle() const { return in_flight_.load(std::memory_order_relaxed) == 0; }
-  std::uint64_t in_flight() const {
-    return in_flight_.load(std::memory_order_relaxed);
-  }
+  // Packets queued toward any destination (delivered or not yet arrived).
+  // A sum over the destination queues rather than a counter, so commits and
+  // polls pay nothing for it. O(nodes): read it between runs
+  // (World::work_remaining, metrics), never from a worker mid-window.
+  std::uint64_t in_flight() const;
+  bool idle() const { return in_flight() == 0; }
   const Stats& stats() const { return stats_; }
 
   // Routes slot releases for polls on `dst` through `m` (nullptr restores
@@ -252,8 +254,8 @@ class Network {
   // Plays out the whole retry protocol for one committed packet (see
   // net/fault.hpp); enqueues every surviving delivery copy.
   void commit_faulty(Packet& p);
-  // Common tail of commit: acquire a slot, enqueue toward p.dst, bump
-  // in-flight, and record/fire the deliverability wakeup.
+  // Common tail of commit: acquire a slot, enqueue toward p.dst, and
+  // record/fire the deliverability wakeup.
   void enqueue_copy(const Packet& p, sim::Instr arrive);
   void flush_merge(Outbox* const* boxes, std::size_t nboxes);
 
@@ -288,7 +290,6 @@ class Network {
   sim::Instr commit_key_ = 0;  // quantum key of the send being committed
   std::vector<DeferredWireSample> deferred_lat_;
   std::size_t deferred_mid_ = 0;
-  std::atomic<std::uint64_t> in_flight_{0};
   Stats stats_;
   PacketPool pool_;
   PacketPool::Magazine home_mag_;

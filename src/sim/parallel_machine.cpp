@@ -258,7 +258,10 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
       }
     }
   }
-  if (net_ != nullptr) net_->set_windowed_stats(true);
+  // Flat windows drain completely at every barrier and commit in canonical
+  // order, so wire-latency samples can go straight into the stat; only
+  // distance horizons need the reorder buffer.
+  if (net_ != nullptr && distance_) net_->set_windowed_stats(true);
 
   const bool threaded = workers_.size() > 1;
   if (threaded) {
@@ -329,7 +332,7 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
     // min_key is the next window's floor: every later quantum (and so every
     // later send or trace event) carries a key >= it. Release the deferred
     // order-sensitive observables up to that frontier.
-    if (net_ != nullptr) net_->drain_deferred_wire_stats(min_key);
+    if (net_ != nullptr && distance_) net_->drain_deferred_wire_stats(min_key);
     replay_traces(min_key);
     ++windows_;
     if (balancer_ != nullptr && run_quanta >= rebalance_at) {

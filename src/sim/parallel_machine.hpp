@@ -46,10 +46,11 @@
 // stat samples below F (Network::drain_deferred_wire_stats) and replays
 // buffered trace events below F sorted by (key, node), carrying the rest.
 // Under the flat policy every window drains completely (all keys < horizon
-// <= F) and the behavior is exactly the historical one; under distance
-// horizons the carry reconstructs the serial global order across windows.
-// Either way the results are bit-identical to a serial run at any thread
-// count.
+// <= F), so consecutive flushes are already in global key order: the wire
+// stat takes its samples directly at commit and only distance horizons turn
+// the network's reorder buffer on. Under distance horizons the carry
+// reconstructs the serial global order across windows. Either way the
+// results are bit-identical to a serial run at any thread count.
 //
 // Shard policy: nodes map statically to workers (node id mod thread count)
 // or, with more than one worker, are reassigned at window barriers (at
@@ -64,9 +65,9 @@
 // Thread-safety partition during a window: a worker touches only its own
 // nodes' state, those nodes' destination queues (poll side), its own outbox,
 // trace buffer and packet-pool magazine, plus its nodes' slots in the
-// per-node key/quanta arrays (disjoint indices). The shared mutable state is
-// the network's in-flight counter (atomic) and the packet pool's depot,
-// which a worker only reaches through its magazine's overflow path
+// per-node key/quanta arrays (disjoint indices). The one shared mutable
+// structure is the packet pool's depot, which a worker only reaches
+// through its magazine's overflow path
 // (mutex-guarded, amortized one trip per kMagazineCap frees). Window
 // parameters — horizon, per-node horizon vector, shard vectors — are
 // written by the coordinator between windows and published by the

@@ -1,16 +1,21 @@
 // Live object migration: spec parsing, the pure shed policy, forwarding
 // stubs + sender-side path compression, inbox carryover ordering across a
-// move, migrate-while-waiting, and a 6-node hot-spot scenario asserting the
-// work-shedding balancer actually spreads load (see DESIGN.md "Object
-// migration").
+// move, migrate-while-waiting, a redirect chain that ends on the sender's
+// own node, and a 6-node hot-spot scenario asserting the work-shedding
+// balancer actually spreads load and sheds/gossips on the same quanta
+// across a checkpoint restore (see DESIGN.md "Object migration").
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "abcl/abcl.hpp"
+#include "ckpt/snapshot.hpp"
 #include "core/object.hpp"
+#include "fuzz/oracle.hpp"
 #include "obs/metrics.hpp"
 #include "remote/migration.hpp"
 
@@ -427,6 +432,170 @@ TEST(MigrationDeath, NonMigratableClassIsRejected) {
       "not migratable");
 }
 
+// ------------------------------------------ redirect to the own node -----
+
+// A fixed-seed World run that may stop at a checkpoint boundary and go on
+// in a restored World: the record an uninterrupted run must reproduce.
+struct RunRecord {
+  std::string metrics;
+  std::uint64_t trace_hash = 0;
+  std::uint64_t trace_events = 0;
+  sim::Instr sim_time = 0;
+};
+
+ckpt::CheckpointConfig boundary(std::uint64_t at) {
+  ckpt::CheckpointConfig ck;
+  ck.enabled = true;
+  ck.at = at;
+  return ck;
+}
+
+// Runs `world` to quiescence under `tracer`; with `at` != 0 the world must
+// carry the matching checkpoint config, and the run is captured at the
+// boundary and finished in a world restored (onto `restore_threads`) from
+// the snapshot. `at_boundary` sees the world just before the capture;
+// `out` receives the final world.
+RunRecord run_record(core::Program& prog, std::unique_ptr<World> world,
+                     std::uint64_t at, int restore_threads,
+                     fuzz::HashTracer& tracer,
+                     const std::function<void(World&)>& at_boundary = {},
+                     std::unique_ptr<World>* out = nullptr) {
+  world->attach_tracer(&tracer);
+  RunReport rep = world->run();
+  if (at != 0) {
+    if (at_boundary) at_boundary(*world);
+    ckpt::MemSink sink;
+    world->checkpoint(sink);
+    world.reset();  // restore maps the arenas at their recorded bases
+    ckpt::MemSource src(sink.take());
+    world = World::restore(prog, src, restore_threads);
+    world->attach_tracer(&tracer);
+    rep = world->run();
+    rep.quanta += world->resumed_quanta();
+  }
+  RunRecord r{obs::metrics_json(*world, &rep), tracer.hash(), tracer.events(),
+              rep.sim_time};
+  if (out != nullptr) *out = std::move(world);
+  return r;
+}
+
+// Sends `left` numbered messages to `target`, one per quantum: each tick
+// re-kicks the (then active) pump through the scheduling queue.
+struct PumpState {
+  MailAddr target;
+  Word rec = 0;
+  void on_create(const Msg& m) {
+    target = m.addr(0);
+    rec = m.at(2);
+  }
+};
+
+struct TickFrame : Frame {
+  Word left = 0;
+  Word v = 0;
+  PatternId pat = 0;
+  static void init(TickFrame& f, const Msg& m) {
+    f.left = m.at(0);
+    f.v = m.at(1);
+    f.pat = m.pattern;
+  }
+  static Status run(Ctx& ctx, PumpState& self, TickFrame& f) {
+    ABCL_BEGIN(f);
+    ctx.charge(40);
+    ctx.send_past(self.target, static_cast<PatternId>(self.rec), {f.v});
+    if (f.left > 1) {
+      ctx.send_past(ctx.self_addr(), f.pat, {f.left - 1, f.v + 1});
+    }
+    ABCL_END();
+  }
+};
+
+TEST(Migration, RedirectEndingOnTheSendersNodeTakesTheLocalShortcut) {
+  // The object moves 0 -> 2 while a pump on node 2 keeps mailing its OLD
+  // address. The stub on node 0 bounces the first messages and sends node
+  // 2 a kUpdateAddr whose destination is node 2 itself; during the flush
+  // window node 2 holds new mail, the ack releases it locally, and every
+  // later send resolves through the redirect to a local target. Arrival
+  // order must survive all of it, every driver and every restore must
+  // reproduce the uninterrupted serial run, and afterwards node 2 reaches
+  // the object without a network send.
+  constexpr Word kTicks = 60;
+  core::Program prog;
+  RecProgram rp = register_rec(prog);
+  PatternId tick = prog.patterns().intern("mig.tick", 2);
+  ClassDef<PumpState> pump(prog, "MigPump");
+  pump.method<TickFrame>(tick);
+  prog.finalize();
+
+  MailAddr a;
+  auto make = [&](int threads, std::uint64_t at) {
+    WorldConfig cfg;
+    cfg.with_nodes(4).with_host_threads(threads);
+    if (at != 0) cfg.with_ckpt(boundary(at));
+    auto w = std::make_unique<World>(prog, cfg);
+    w->boot(0, [&](Ctx& ctx) {
+      a = ctx.create_local(*rp.cls, {});
+      ctx.migrate_object_to(a.ptr, 2);
+    });
+    w->boot(2, [&](Ctx& ctx) {
+      MailAddr p = ctx.create_local(
+          pump.info(), {a.word_node(), a.word_ptr(), static_cast<Word>(rp.rec)});
+      ctx.send_past(p, tick, {kTicks, 1});
+    });
+    return w;
+  };
+
+  fuzz::HashTracer base_tracer;
+  std::unique_ptr<World> base_world;
+  const RunRecord base =
+      run_record(prog, make(-1, 0), 0, 0, base_tracer, {}, &base_world);
+
+  const MailAddr home = resolve(*base_world, a);
+  ASSERT_EQ(home.node, 2);
+  const auto* st = home.ptr->state_as<const RecState>();
+  EXPECT_EQ(st->count, kTicks);
+  std::uint64_t want = 0;
+  for (Word v = 1; v <= kTicks; ++v) want = want * 1099511628211ull + v;
+  EXPECT_EQ(st->order_hash, want);
+  EXPECT_EQ(st->last_node, 2u);
+  const core::NodeStats s2 = base_world->node(2).stats();
+  EXPECT_GT(base_world->node(0).stats().migration_forwards, 0u);
+  EXPECT_GT(s2.migration_holds, 0u);  // the flush window held some mail
+  EXPECT_LT(base_world->node(0).stats().migration_forwards, kTicks);
+
+  // Later sends to the old address resolve to a local target: no packet.
+  base_world->boot(2, [&](Ctx& ctx) {
+    for (Word v = 1; v <= 5; ++v) ctx.send_past(a, rp.rec, {v});
+  });
+  base_world->run();
+  EXPECT_EQ(st->count, kTicks + 5);
+  EXPECT_EQ(base_world->node(2).stats().remote_sends, s2.remote_sends);
+  EXPECT_EQ(base_world->node(2).stats().local_sends, s2.local_sends + 5);
+
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    fuzz::HashTracer tracer;
+    const RunRecord r = run_record(prog, make(threads, 0), 0, 0, tracer);
+    EXPECT_EQ(r.metrics, base.metrics);
+    EXPECT_EQ(r.trace_hash, base.trace_hash);
+  }
+  // Restores at boundaries spread over the run, so some land while the
+  // redirect entry is flushing and holds mail.
+  for (std::uint64_t k = 1; k < 8; ++k) {
+    const std::uint64_t at = base.sim_time * k / 8 + 1;
+    for (int threads : {-1, 1}) {
+      SCOPED_TRACE("at=" + std::to_string(at) +
+                   " threads=" + std::to_string(threads));
+      fuzz::HashTracer tracer;
+      const RunRecord r = run_record(prog, make(threads, at), at,
+                                     threads == -1 ? 0 : 2, tracer);
+      EXPECT_EQ(r.metrics, base.metrics);
+      EXPECT_EQ(r.trace_hash, base.trace_hash);
+      EXPECT_EQ(r.trace_events, base.trace_events);
+    }
+  }
+}
+
 // ----------------------------------------------------------- hot spot -----
 
 // All actors are created on node 0 of a 6-node world and churn through
@@ -435,6 +604,25 @@ TEST(MigrationDeath, NonMigratableClassIsRejected) {
 // land elsewhere — and the whole run stays deterministic.
 struct ChurnState {
   std::uint64_t steps = 0;
+};
+
+struct KickFrame : Frame {
+  Word fuel = 0;
+  PatternId pat = 0;
+  static void init(KickFrame& f, const Msg& m) {
+    f.fuel = m.at(0);
+    f.pat = m.pattern;
+  }
+  static Status run(Ctx& ctx, ChurnState& self, KickFrame& f) {
+    ABCL_BEGIN(f);
+    self.steps += 1;
+    ctx.charge(200);
+    if (f.fuel > 0) {
+      Word arg = f.fuel - 1;
+      ctx.send_past(ctx.self_addr(), f.pat, &arg, 1);
+    }
+    ABCL_END();
+  }
 };
 
 struct HotSpotResult {
@@ -455,24 +643,6 @@ TEST(MigrationHotSpot, SixNodeShedSpreadsLoadDeterministically) {
     PatternId kick = prog.patterns().intern("churn.kick", 1);
     ClassDef<ChurnState> def(prog, "Churn");
     def.migratable();
-    struct KickFrame : Frame {
-      Word fuel = 0;
-      PatternId pat = 0;
-      static void init(KickFrame& f, const Msg& m) {
-        f.fuel = m.at(0);
-        f.pat = m.pattern;
-      }
-      static Status run(Ctx& ctx, ChurnState& self, KickFrame& f) {
-        ABCL_BEGIN(f);
-        self.steps += 1;
-        ctx.charge(200);
-        if (f.fuel > 0) {
-          Word arg = f.fuel - 1;
-          ctx.send_past(ctx.self_addr(), f.pat, &arg, 1);
-        }
-        ABCL_END();
-      }
-    };
     def.method<KickFrame>(kick);
     prog.finalize();
 
@@ -539,6 +709,95 @@ TEST(MigrationHotSpot, SixNodeShedSpreadsLoadDeterministically) {
   HotSpotResult again = run_once(true);
   EXPECT_EQ(again.metrics, on.metrics);
   EXPECT_EQ(again.objects_per_node, on.objects_per_node);
+}
+
+TEST(MigrationHotSpot, RestoreMidIntervalShedsAndGossipsOnTheSameQuanta) {
+  // Shed checks every 8 quanta, gossip every 5. A node's next shed and
+  // gossip quanta are not in the snapshot: a restored node re-derives them
+  // from its quantum count, so a boundary that falls between two due
+  // quanta must still shed and gossip exactly where the uninterrupted run
+  // does — the trace fingerprint pins every send to its quantum.
+  constexpr int kNodes = 6;
+  constexpr int kActors = 40;
+  constexpr Word kFuel = 60;
+  constexpr std::uint32_t kShedEvery = 8;
+  constexpr std::uint32_t kGossipEvery = 5;
+  core::Program prog;
+  PatternId kick = prog.patterns().intern("churn.kick", 1);
+  ClassDef<ChurnState> def(prog, "Churn");
+  def.migratable();
+  def.method<KickFrame>(kick);
+  prog.finalize();
+
+  auto make = [&](int threads, std::uint64_t at) {
+    WorldConfig cfg;
+    cfg.with_nodes(kNodes).with_host_threads(threads);
+    MigrationConfig mc;
+    mc.enabled = true;
+    mc.interval = kShedEvery;
+    mc.hysteresis = 2;
+    mc.max_batch = 4;
+    mc.min_queue = 6;
+    mc.seed = 5;
+    cfg.with_migration(mc);
+    core::NodeRuntime::Config nc;
+    nc.gossip_interval = kGossipEvery;
+    cfg.with_node(nc);
+    if (at != 0) cfg.with_ckpt(boundary(at));
+    auto w = std::make_unique<World>(prog, cfg);
+    std::vector<MailAddr> actors;
+    w->boot(0, [&](Ctx& ctx) {
+      for (int i = 0; i < kActors; ++i) {
+        actors.push_back(ctx.create_local(def.info(), {}));
+      }
+    });
+    w->boot(0, [&](Ctx& ctx) {
+      for (const MailAddr& a : actors) ctx.send_past(a, kick, {kFuel});
+    });
+    return w;
+  };
+  auto service_packets = [](const World& w) {
+    return w.network().stats().per_category[static_cast<int>(
+        net::AmCategory::kService)];
+  };
+
+  fuzz::HashTracer base_tracer;
+  std::unique_ptr<World> base_world;
+  const RunRecord base =
+      run_record(prog, make(-1, 0), 0, 0, base_tracer, {}, &base_world);
+  ASSERT_GT(base_world->total_stats().migrations_out, 0u);
+
+  for (std::uint64_t k = 1; k < 5; ++k) {
+    const std::uint64_t at = base.sim_time * k / 5 + 1;
+    for (int threads : {-1, 1}) {
+      SCOPED_TRACE("at=" + std::to_string(at) +
+                   " threads=" + std::to_string(threads));
+      std::uint64_t shed_before = 0;
+      std::uint64_t service_before = 0;
+      bool mid_interval = false;
+      auto note = [&](World& w) {
+        shed_before = w.total_stats().migrations_out;
+        service_before = service_packets(w);
+        for (int n = 0; n < kNodes; ++n) {
+          const std::uint64_t q = w.node(n).stats().sched_depth.count();
+          mid_interval |= q % kShedEvery != 0 && q % kGossipEvery != 0;
+        }
+      };
+      fuzz::HashTracer tracer;
+      std::unique_ptr<World> restored;
+      const RunRecord r = run_record(prog, make(threads, at), at,
+                                     threads == -1 ? 0 : 2, tracer, note,
+                                     &restored);
+      EXPECT_TRUE(mid_interval);
+      // The restored world really shed and gossiped again...
+      EXPECT_GT(restored->total_stats().migrations_out, shed_before);
+      EXPECT_GT(service_packets(*restored), service_before);
+      // ...on exactly the uninterrupted run's quanta.
+      EXPECT_EQ(r.metrics, base.metrics);
+      EXPECT_EQ(r.trace_hash, base.trace_hash);
+      EXPECT_EQ(r.trace_events, base.trace_events);
+    }
+  }
 }
 
 // ----------------------------------------------- ABCLSIM_MIGRATION env -----

@@ -675,6 +675,85 @@ TEST(BucketQueue, InfinityKeysAndFullSpanRebase) {
   EXPECT_TRUE(q.empty());
 }
 
+// Delivery-queue traffic as the network sees it: one to three packets in
+// flight, the queue draining to empty between bursts, and bursts landing
+// far beyond the ring span. Every burst re-anchors the ring, most send an
+// entry to the overflow tier, and many rebase from a single overflow
+// entry.
+TEST(BucketQueue, ShallowSparseTrafficMatchesPriorityQueue) {
+  for (std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    Xoshiro256 rng(seed);
+    Bq q;
+    RefQueue ref;
+    std::uint64_t t = 0;
+    std::int32_t next_id = 0;
+    auto push = [&](std::uint64_t k) {
+      BqEntry e{k, next_id++};
+      q.push(e);
+      ref.push(e);
+    };
+    for (int burst = 0; burst < 5000; ++burst) {
+      // Inter-burst gap: usually a few hundred keys, sometimes far past
+      // any ring span the queue has seen.
+      t += rng.below(8) == 0 ? (std::uint64_t{1} << 20) + rng.below(1u << 30)
+                             : rng.below(512);
+      const int depth = 1 + static_cast<int>(rng.below(3));
+      for (int i = 0; i < depth; ++i) {
+        switch (rng.below(4)) {
+          case 0: push(t + (std::uint64_t{1} << 32) + rng.below(1u << 20));
+            break;  // far beyond the ring: overflow tier
+          case 1: push(t); break;  // tie on the key, ordered by id
+          default: push(t + rng.below(256)); break;
+        }
+      }
+      while (!ref.empty()) {
+        ASSERT_EQ(q.top(), ref.top()) << "seed " << seed << " burst " << burst;
+        const std::uint64_t k = q.top().key;
+        q.pop();
+        ref.pop();
+        // Now and then an arrival lands mid-drain: a later key, or one
+        // below the active bucket.
+        if (rng.below(8) == 0) {
+          push(rng.below(2) == 0 ? k + rng.below(1u << 16)
+                                 : k - std::min<std::uint64_t>(k, rng.below(8)));
+        }
+        ASSERT_EQ(q.size(), ref.size());
+      }
+      ASSERT_TRUE(q.empty());
+      t += rng.below(64);
+    }
+  }
+}
+
+TEST(BucketQueue, RebaseFromOneOverflowEntry) {
+  // The ring holds {10}; {10 + 2^40} overflows. Draining the ring rebases
+  // from that single entry (a zero key span), and later pushes around it —
+  // inside the new ring, beyond it, and below its base — must still pop
+  // in order.
+  Bq q;
+  const std::uint64_t far = 10 + (std::uint64_t{1} << 40);
+  q.push({10, 0});
+  q.push({far, 1});
+  EXPECT_EQ(q.top(), (BqEntry{10, 0}));
+  q.pop();
+  EXPECT_EQ(q.top(), (BqEntry{far, 1}));
+  q.push({far + 1000, 2});
+  q.push({far, 0});
+  q.push({far + (std::uint64_t{1} << 30), 3});
+  q.push({far - 5, 4});  // below the active bucket
+  EXPECT_EQ(q.top(), (BqEntry{far - 5, 4}));
+  q.pop();
+  EXPECT_EQ(q.top(), (BqEntry{far, 0}));
+  q.pop();
+  EXPECT_EQ(q.top(), (BqEntry{far, 1}));
+  q.pop();
+  EXPECT_EQ(q.top(), (BqEntry{far + 1000, 2}));
+  q.pop();
+  EXPECT_EQ(q.top(), (BqEntry{far + (std::uint64_t{1} << 30), 3}));
+  q.pop();
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(BucketQueue, ClearAndReuse) {
   Bq q;
   for (std::uint64_t k = 0; k < 100; ++k) q.push({k * 1000, 0});
