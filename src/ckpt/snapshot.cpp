@@ -145,7 +145,7 @@ void Writer::finish(std::uint64_t program_fingerprint, Sink& sink) {
   h.payload_bytes = buf_.size() - kHeaderBytes;
   h.checksum = checksum(buf_.data() + kHeaderBytes, h.payload_bytes);
   std::memcpy(buf_.data(), &h, sizeof h);
-  sink.write(buf_.data(), buf_.size());
+  sink.write_owned(std::move(buf_));
 }
 
 Reader::Reader(Source& src, std::uint64_t program_fingerprint) {

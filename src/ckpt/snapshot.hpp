@@ -47,6 +47,11 @@ class Sink {
  public:
   virtual ~Sink() = default;
   virtual void write(const void* p, std::size_t n) = 0;
+  // Hands over a whole buffer the caller no longer needs. A sink that
+  // stores bytes may adopt it instead of copying; the default just writes.
+  virtual void write_owned(std::string&& bytes) {
+    write(bytes.data(), bytes.size());
+  }
 };
 
 class Source {
@@ -66,6 +71,14 @@ class MemSink : public Sink {
  public:
   void write(const void* p, std::size_t n) override {
     bytes_.append(static_cast<const char*>(p), n);
+  }
+  // An empty sink adopts the buffer as is; otherwise it appends.
+  void write_owned(std::string&& bytes) override {
+    if (bytes_.empty()) {
+      bytes_ = std::move(bytes);
+    } else {
+      bytes_.append(bytes);
+    }
   }
   const std::string& bytes() const { return bytes_; }
   std::string take() { return std::move(bytes_); }
@@ -150,9 +163,13 @@ class Writer {
     u64(s.size());
     bytes(s.data(), s.size());
   }
+  // Sizes the buffer for a frame of about `total` bytes up front, so a
+  // large capture is written once instead of re-copied as it grows.
+  void reserve(std::size_t total) { buf_.reserve(total); }
 
   // Fills in the header (magic, version, fingerprint, payload length,
-  // checksum) and hands header + payload to `sink` in one write.
+  // checksum) and hands header + payload to `sink` as one owned buffer
+  // (Sink::write_owned). The Writer is spent afterwards.
   void finish(std::uint64_t program_fingerprint, Sink& sink);
 
  private:

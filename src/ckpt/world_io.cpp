@@ -25,7 +25,9 @@
 // when it ships resume entries as raw words.
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "abcl/machine_api.hpp"
@@ -89,6 +91,26 @@ struct WorldIo {
   }
 
   // ----- whole world -------------------------------------------------------
+
+  // A capture's size, estimated from above so the Writer allocates once:
+  // the arena images dominate; then the queued packets, the channel
+  // matrices and each node's scheduling FIFO; the slack covers the
+  // remaining scalars, stats, stocks and directories. Reserved but
+  // unwritten capacity is never touched, so an over-estimate costs no
+  // resident memory.
+  static std::size_t size_hint(const World& world) {
+    constexpr std::size_t kNodeSlack = 4u << 10;
+    const net::Network& n = *world.net_;
+    std::size_t bytes = kHeaderBytes + (1u << 20);
+    bytes += n.in_flight() * sizeof(net::Packet);
+    bytes += (n.channel_matrix_.size() + n.link_seq_matrix_.size()) *
+             sizeof(std::uint64_t);
+    for (const auto& node : world.nodes_) {
+      bytes += node->arena_.used() + node->sched_.size() * sizeof(std::uint64_t) +
+               sizeof(core::NodeStats) + kNodeSlack;
+    }
+    return bytes;
+  }
 
   static void save(Writer& w, const World& world) {
     const WorldConfig& cfg = world.cfg_;
@@ -200,18 +222,29 @@ struct WorldIo {
       for (const net::Network::DstFaultState& st : n.dst_fault_) {
         w.u64(st.delivered);
         w.u64(st.dup_suppressed);
+        // Windows of the sources that delivered anything, ascending.
+        const net::DedupRow& row = st.dedup;
         std::vector<std::int32_t> srcs;
-        srcs.reserve(st.windows.size());
-        for (const auto& [src, win] : st.windows) srcs.push_back(src);
-        std::sort(srcs.begin(), srcs.end());
+        if (row.allocated()) {
+          for (std::size_t src = 0; src < row.win_.size(); ++src) {
+            if (row.touched(static_cast<std::int32_t>(src))) {
+              srcs.push_back(static_cast<std::int32_t>(src));
+            }
+          }
+        }
         w.u64(srcs.size());
         for (std::int32_t src : srcs) {
-          const net::DedupWindow& win = st.windows.at(src);
+          const net::DedupRow::Window& win =
+              row.win_[static_cast<std::size_t>(src)];
           w.u32(static_cast<std::uint32_t>(src));
-          w.u64(win.base_);
-          w.u64(win.bits_);
-          w.u64(win.far_.size());
-          for (std::uint64_t s : win.far_) w.u64(s);  // std::set: sorted
+          w.u64(win.base);
+          w.u64(win.bits);
+          // The side set is ordered by (src, seq): this source's spill is
+          // one sorted run.
+          auto first = row.far_.lower_bound({src, 0});
+          auto last = row.far_.lower_bound({src + 1, 0});
+          w.u64(static_cast<std::uint64_t>(std::distance(first, last)));
+          for (auto it = first; it != last; ++it) w.u64(it->second);
         }
       }
     }
@@ -238,14 +271,22 @@ struct WorldIo {
       for (net::Network::DstFaultState& st : n.dst_fault_) {
         st.delivered = r.u64();
         st.dup_suppressed = r.u64();
+        // A row exists iff its destination polled under faults, which
+        // always leaves at least one touched window behind.
         std::uint64_t nwin = r.u64();
+        if (nwin > 0) st.dedup.allocate(n.topology_.num_nodes());
         for (std::uint64_t i = 0; i < nwin; ++i) {
-          auto src = static_cast<std::int32_t>(r.u32());
-          net::DedupWindow& win = st.windows[src];
-          win.base_ = r.u64();
-          win.bits_ = r.u64();
+          const std::uint32_t src = r.u32();
+          ABCL_CHECK_MSG(
+              src < static_cast<std::uint32_t>(n.topology_.num_nodes()),
+              bad_field("dedup source", src).c_str());
+          net::DedupRow::Window& win = st.dedup.win_[src];
+          win.base = r.u64();
+          win.bits = r.u64();
           std::uint64_t nfar = r.u64();
-          for (std::uint64_t j = 0; j < nfar; ++j) win.far_.insert(r.u64());
+          for (std::uint64_t j = 0; j < nfar; ++j) {
+            st.dedup.far_.insert({static_cast<std::int32_t>(src), r.u64()});
+          }
         }
       }
     }
@@ -379,44 +420,85 @@ struct WorldIo {
 
   // ----- node components ---------------------------------------------------
 
+  // Stocks and pending replenishes are written in ascending key(peer,
+  // class) order -- peer-major, then size class -- each cell ever pushed
+  // to as a stock (empty ones too), each cell ever requested as a pending
+  // entry. A stack is written bottom to top.
+  template <class Fn>
+  static void for_each_cell(const remote::ChunkStock& s, Fn&& fn) {
+    for (std::size_t p = 0; p < s.peers_; ++p) {
+      for (std::size_t cls = 0; cls < remote::ChunkStock::kSizeClasses;
+           ++cls) {
+        if (s.col1_[cls] == 0) continue;
+        fn(static_cast<core::NodeId>(p), static_cast<std::uint16_t>(cls),
+           s.cells_[p * s.ncols_ + s.col1_[cls] - 1]);
+      }
+    }
+  }
+
   static void save_stock(Writer& w, const remote::ChunkStock& s) {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(s.stocks_.size());
-    for (const auto& [k, v] : s.stocks_) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (std::uint64_t k : keys) {
-      const auto& chunks = s.stocks_.at(k);
+    using Cell = remote::ChunkStock::Cell;
+    std::uint64_t nstocks = 0;
+    std::uint64_t npending = 0;
+    for_each_cell(s, [&](core::NodeId, std::uint16_t, const Cell& c) {
+      nstocks += c.stocked ? 1 : 0;
+      npending += c.requested ? 1 : 0;
+    });
+    w.u64(nstocks);
+    for_each_cell(s, [&](core::NodeId peer, std::uint16_t cls,
+                         const Cell& c) {
+      if (!c.stocked) return;
+      const std::uint64_t k = remote::ChunkStock::key(peer, cls);
       w.u64(k);
-      w.u64(chunks.size());
-      for (const core::ObjectHeader* c : chunks) w.u64(ptr_word(c));
-    }
-    keys.clear();
-    for (const auto& [k, v] : s.pending_) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (std::uint64_t k : keys) {
-      w.u64(k);
-      w.u64(s.pending_.at(k));
-    }
+      w.u64(c.depth);
+      const std::uint32_t inl = std::min(c.depth, remote::ChunkStock::kInline);
+      for (std::uint32_t i = 0; i < inl; ++i) w.u64(ptr_word(c.chunks[i]));
+      if (c.depth > inl) {
+        for (const core::ObjectHeader* chunk : s.spill_.at(k)) {
+          w.u64(ptr_word(chunk));
+        }
+      }
+    });
+    w.u64(npending);
+    for_each_cell(s, [&](core::NodeId peer, std::uint16_t cls,
+                         const Cell& c) {
+      if (!c.requested) return;
+      w.u64(remote::ChunkStock::key(peer, cls));
+      w.u64(c.pending);
+    });
     w.raw(s.stats_);
   }
 
   static void load_stock(Reader& r, remote::ChunkStock& s) {
+    // key(peer, class) back to its (peer, class), range-checked.
+    auto cell_of = [](std::uint64_t k) {
+      const std::uint64_t peer = k >> 16;
+      const auto cls = static_cast<std::uint16_t>(k & 0xffff);
+      ABCL_CHECK_MSG(peer < kMaxRestoreNodes,
+                     bad_field("stock peer", static_cast<std::uint32_t>(peer))
+                         .c_str());
+      ABCL_CHECK_MSG(cls < remote::ChunkStock::kSizeClasses,
+                     bad_field("stock size class", cls).c_str());
+      return std::pair{static_cast<core::NodeId>(peer), cls};
+    };
     std::uint64_t nstocks = r.u64();
     for (std::uint64_t i = 0; i < nstocks; ++i) {
-      std::uint64_t k = r.u64();
+      const auto [peer, cls] = cell_of(r.u64());
+      s.cell(peer, cls).stocked = true;  // present even when empty
       std::uint64_t depth = r.u64();
-      auto& vec = s.stocks_[k];
-      vec.reserve(depth);
       for (std::uint64_t j = 0; j < depth; ++j) {
-        vec.push_back(word_ptr<core::ObjectHeader>(r.u64()));
+        s.stack(peer, cls, word_ptr<core::ObjectHeader>(r.u64()));
       }
     }
     std::uint64_t npend = r.u64();
     for (std::uint64_t i = 0; i < npend; ++i) {
-      std::uint64_t k = r.u64();
-      s.pending_[k] = r.u64();
+      const auto [peer, cls] = cell_of(r.u64());
+      const std::uint64_t pending = r.u64();
+      ABCL_CHECK_MSG(pending <= UINT32_MAX,
+                     "checkpoint restore: bad pending replenish count");
+      remote::ChunkStock::Cell& c = s.cell(peer, cls);
+      c.requested = true;
+      c.pending = static_cast<std::uint32_t>(pending);
     }
     r.raw_into(s.stats_);
   }
@@ -613,6 +695,7 @@ void World::checkpoint(ckpt::Sink& sink) const {
                  "checkpoint(): world was not built with checkpointing "
                  "enabled (WorldConfig::ckpt / ABCLSIM_CHECKPOINT)");
   ckpt::Writer w;
+  w.reserve(ckpt::WorldIo::size_hint(*this));
   ckpt::WorldIo::save(w, *this);
   w.finish(ckpt::WorldIo::fingerprint(*prog_), sink);
 }

@@ -649,7 +649,7 @@ CreateCall NodeRuntime::remote_create_begin(const ClassInfo& cls, NodeId target,
   std::uint16_t szcls = object_size_class(cls);
   if (auto chunk = stock_try_pop(target, szcls)) {
     stats_.chunk_stock_hits += 1;
-    send_create_packet(cls, target, *chunk, args, nargs);
+    send_create_packet(cls, szcls, target, *chunk, args, nargs);
     return CreateCall{MailAddr{target, *chunk}, {}};
   }
   // Stock empty: split-phase fallback — request a chunk and await it.
@@ -661,6 +661,7 @@ CreateCall NodeRuntime::remote_create_begin(const ClassInfo& cls, NodeId target,
   pc->cls = &cls;
   pc->target = target;
   pc->nargs = static_cast<std::uint8_t>(nargs);
+  pc->szcls = szcls;
   for (int i = 0; i < nargs; ++i) pc->args[i] = args[i];
   b->pending_create = pc;
 
@@ -684,7 +685,8 @@ MailAddr NodeRuntime::remote_create_finish(CreateCall& c) {
     auto* pc = static_cast<PendingCreate*>(b->pending_create);
     ABCL_CHECK(pc != nullptr);
     auto* chunk = reinterpret_cast<ObjectHeader*>(b->vals[0]);
-    send_create_packet(*pc->cls, pc->target, chunk, pc->args, pc->nargs);
+    send_create_packet(*pc->cls, pc->szcls, pc->target, chunk, pc->args,
+                       pc->nargs);
     c.addr = MailAddr{pc->target, chunk};
     pc->~PendingCreate();
     pool_.deallocate(pc, sizeof(PendingCreate));
@@ -694,7 +696,8 @@ MailAddr NodeRuntime::remote_create_finish(CreateCall& c) {
   return c.addr;
 }
 
-void NodeRuntime::send_create_packet(const ClassInfo& cls, NodeId target,
+void NodeRuntime::send_create_packet(const ClassInfo& cls,
+                                     std::uint16_t szcls, NodeId target,
                                      ObjectHeader* chunk, const Word* args,
                                      int nargs) {
   charge(cm_->send_setup);
@@ -704,7 +707,6 @@ void NodeRuntime::send_create_packet(const ClassInfo& cls, NodeId target,
   // without bound once a drained stock bursts back up. The request rides in
   // bit 0 of the chunk address (pool chunks are at least 8-byte aligned),
   // so the packet layout is unchanged.
-  std::uint16_t szcls = chunk->alloc_size_class;
   const bool want_replenish =
       !cfg_.disable_replenish &&
       stock_.planned_depth(target, szcls) <

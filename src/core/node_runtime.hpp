@@ -324,6 +324,7 @@ class NodeRuntime final : public sim::NodeExec {
     const ClassInfo* cls = nullptr;
     NodeId target = -1;
     std::uint8_t nargs = 0;
+    std::uint16_t szcls = 0;  // size class of cls, for the create packet
     Word args[kMaxArgs] = {};
   };
 
@@ -388,8 +389,11 @@ class NodeRuntime final : public sim::NodeExec {
   void run_sched_item(ObjectHeader* o);
   void remote_send(MailAddr target, PatternId p, const Word* args, int nargs,
                    const ReplyDest& rd);
-  void send_create_packet(const ClassInfo& cls, NodeId target,
-                          ObjectHeader* chunk, const Word* args, int nargs);
+  // `szcls` is the creator's own size class for `cls`; the chunk lives in
+  // the target's memory, which the creator never reads.
+  void send_create_packet(const ClassInfo& cls, std::uint16_t szcls,
+                          NodeId target, ObjectHeader* chunk, const Word* args,
+                          int nargs);
   void deliver_reply_local(ReplyBox* box, const Word* vals, int n);
   void naive_local_send(ObjectHeader* o, const MsgView& m);
 

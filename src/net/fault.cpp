@@ -42,37 +42,55 @@ std::uint64_t FaultPlan::roll(std::uint64_t tag, std::int32_t src,
 }
 
 // ----------------------------------------------------------------------------
-// DedupWindow
+// DedupRow
 // ----------------------------------------------------------------------------
 
-void DedupWindow::advance() {
+void DedupRow::allocate(std::int32_t num_srcs) {
+  ABCL_CHECK(num_srcs > 0 && win_.empty());
+  win_.resize(static_cast<std::size_t>(num_srcs));
+}
+
+bool DedupRow::touched(std::int32_t src) const {
+  const Window& w = win_[static_cast<std::size_t>(src)];
+  if (w.base != 0 || w.bits != 0) return true;
+  auto it = far_.lower_bound({src, 0});
+  return it != far_.end() && it->first == src;
+}
+
+void DedupRow::advance(std::int32_t src, Window& w) {
   for (;;) {
-    while (bits_ & 1) {
-      bits_ >>= 1;
-      ++base_;
+    while (w.bits & 1) {
+      w.bits >>= 1;
+      ++w.base;
     }
     // Pull spilled sequences that now fit the bitmap; re-loop in case they
     // extend the delivered prefix further.
     bool migrated = false;
-    while (!far_.empty() && *far_.begin() < base_ + kBits) {
-      bits_ |= std::uint64_t{1} << (*far_.begin() - base_);
-      far_.erase(far_.begin());
-      migrated = true;
+    if (!far_.empty()) {
+      auto it = far_.lower_bound({src, 0});
+      while (it != far_.end() && it->first == src &&
+             it->second < w.base + kBits) {
+        w.bits |= std::uint64_t{1} << (it->second - w.base);
+        it = far_.erase(it);
+        migrated = true;
+      }
     }
     if (!migrated) return;
   }
 }
 
-bool DedupWindow::accept(std::uint64_t seq) {
-  if (seq < base_) return false;  // inside the delivered prefix: duplicate
-  if (seq < base_ + kBits) {
-    const std::uint64_t bit = std::uint64_t{1} << (seq - base_);
-    if (bits_ & bit) return false;
-    bits_ |= bit;
-    advance();
+bool DedupRow::accept(std::int32_t src, std::uint64_t seq) {
+  ABCL_DCHECK(src >= 0 && static_cast<std::size_t>(src) < win_.size());
+  Window& w = win_[static_cast<std::size_t>(src)];
+  if (seq < w.base) return false;  // inside the delivered prefix: duplicate
+  if (seq < w.base + kBits) {
+    const std::uint64_t bit = std::uint64_t{1} << (seq - w.base);
+    if (w.bits & bit) return false;
+    w.bits |= bit;
+    advance(src, w);
     return true;
   }
-  return far_.insert(seq).second;
+  return far_.insert({src, seq}).second;
 }
 
 // ----------------------------------------------------------------------------

@@ -22,7 +22,7 @@
 // transmits at send_time + sum of backoffs, is lost to a drop or blackout
 // hash, or else enqueues a real delivery copy (plus a duplicate copy when
 // the dup hash fires); a lost virtual ack makes the sender retransmit
-// spuriously, which the receiver's DedupWindow later suppresses. The
+// spuriously, which the receiver's DedupRow later suppresses. The
 // resulting delivery schedule is exactly what a message-level simulation
 // of the protocol would produce, at none of the event cost, and every copy
 // still arrives >= send_time + Network::min_packet_latency(), so the PDES
@@ -33,6 +33,8 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/time.hpp"
 #include "util/stats.hpp"
@@ -172,30 +174,52 @@ class FaultPlan {
   sim::Instr rto_;
 };
 
-// Receiver-side duplicate suppression for one (dst <- src) channel. Tracks
-// which link_seqs have been delivered: a contiguous prefix [0, base) plus a
-// 64-bit bitmap for [base, base+64) plus an ordered spill set for copies
-// that arrive wildly early (heavy reorder-delay). accept() returns true
-// exactly once per sequence number; the base advances over the delivered
-// prefix so steady-state memory is one word per live channel.
-class DedupWindow {
+// Receiver-side duplicate suppression for one destination: which link_seqs
+// have been delivered on each (dst <- src) channel. Each channel keeps a
+// 16-byte window -- a contiguous delivered prefix [0, base) plus a 64-bit
+// bitmap for [base, base+64) -- in a dense row indexed by source, so the
+// poll path does one indexed load instead of a hash lookup. Copies that
+// arrive more than 64 ahead of their channel's base (heavy reorder delay)
+// go to one ordered side set shared by the row; the base advances over the
+// delivered prefix and pulls them back in. accept() returns true exactly
+// once per (src, seq). The row is empty until allocate(): a destination
+// that never polls under faults costs nothing.
+class DedupRow {
  public:
   static constexpr std::uint64_t kBits = 64;
 
-  // Records delivery of `seq`; true iff this is its first delivery.
-  bool accept(std::uint64_t seq);
+  bool allocated() const { return !win_.empty(); }
+  // Sizes the row for sources [0, num_srcs); every window starts empty.
+  void allocate(std::int32_t num_srcs);
 
-  std::uint64_t base() const { return base_; }
+  // Records delivery of `seq` from `src`; true iff this is its first
+  // delivery. Requires allocated() and src inside the row.
+  bool accept(std::int32_t src, std::uint64_t seq);
+
+  std::uint64_t base(std::int32_t src) const {
+    return win_[static_cast<std::size_t>(src)].base;
+  }
+  // Spilled sequences, summed over the row's channels.
   std::size_t spill_size() const { return far_.size(); }
+  // True once `src` has delivered anything: a window with an advanced
+  // base, a set bit or a spilled sequence. A fresh window is none of these,
+  // and the first accept() always leaves one of them behind.
+  bool touched(std::int32_t src) const;
 
  private:
   friend struct abcl::ckpt::WorldIo;  // checkpoint serializer
 
-  void advance();
+  struct Window {
+    std::uint64_t base = 0;  // every seq < base has been delivered
+    std::uint64_t bits = 0;  // bit i set => base + i delivered
+  };
+  static_assert(sizeof(Window) == 16);
 
-  std::uint64_t base_ = 0;  // every seq < base_ has been delivered
-  std::uint64_t bits_ = 0;  // bit i set => base_ + i delivered
-  std::set<std::uint64_t> far_;  // delivered seqs >= base_ + kBits
+  void advance(std::int32_t src, Window& w);
+
+  std::vector<Window> win_;
+  // Delivered (src, seq) with seq >= that source's base + kBits.
+  std::set<std::pair<std::int32_t, std::uint64_t>> far_;
 };
 
 // Fault-layer accounting. Commit-side counters are updated on the (single

@@ -395,6 +395,14 @@ bool Network::poll(NodeId dst, sim::Instr now, Packet& out, bool* was_dup) {
   PacketPool::Magazine* m = poll_mags_[static_cast<std::size_t>(dst)];
   pool_.release(m != nullptr ? *m : home_mag_, slot);
   q.pop();
+  // A deep queue's next slot was written long ago and is usually out of
+  // cache; start loading it now so the next poll's copy does not stall.
+  if (!q.empty()) {
+    const char* next = reinterpret_cast<const char*>(q.top().slot);
+    for (std::size_t off = 0; off < sizeof(Packet); off += 64) {
+      __builtin_prefetch(next + off);
+    }
+  }
   if (was_dup != nullptr) *was_dup = false;
   if (fault_plan_ != nullptr) {
     // Receiver-side dedup: only the first copy of each (src, link_seq) is
@@ -402,7 +410,8 @@ bool Network::poll(NodeId dst, sim::Instr now, Packet& out, bool* was_dup) {
     // the caller charges the handler cost and discards. This state is owned
     // by the worker polling `dst` — no cross-thread writes.
     DstFaultState& st = dst_fault_[static_cast<std::size_t>(dst)];
-    if (st.windows[out.src].accept(out.link_seq)) {
+    if (!st.dedup.allocated()) st.dedup.allocate(topology_.num_nodes());
+    if (st.dedup.accept(out.src, out.link_seq)) {
       st.delivered += 1;
     } else {
       st.dup_suppressed += 1;

@@ -216,6 +216,13 @@ class Network {
   bool faults_enabled() const { return fault_plan_ != nullptr; }
   // The installed plan; only valid when faults_enabled().
   const FaultPlan& fault_plan() const { return *fault_plan_; }
+  // The receive-side dedup row of `dst`; nullptr while faults are off or
+  // before dst's first faulty poll. Read it between runs.
+  const DedupRow* dedup_row(NodeId dst) const {
+    if (fault_plan_ == nullptr) return nullptr;
+    const DedupRow& row = dst_fault_[static_cast<std::size_t>(dst)].dedup;
+    return row.allocated() ? &row : nullptr;
+  }
   // Aggregated fault accounting: the commit-side block plus every
   // destination's receive-side counters. Call from a single thread with no
   // run in progress (the same contract as stats()).
@@ -296,11 +303,12 @@ class Network {
   std::vector<PacketPool::Magazine*> poll_mags_;  // per-dst; nullptr = home
 
   // ----- fault-injection state (all empty/null when faults are off) -------
-  // Receive side of one destination: dedup windows keyed by source plus the
-  // delivery counters. Touched only by the worker that polls `dst`, so the
-  // parallel driver needs no extra synchronization.
+  // Receive side of one destination: its dedup row (one window per source,
+  // allocated on the destination's first faulty poll) plus the delivery
+  // counters. Touched only by the worker that polls `dst`, so the parallel
+  // driver needs no extra synchronization.
   struct DstFaultState {
-    std::unordered_map<std::int32_t, DedupWindow> windows;
+    DedupRow dedup;
     std::uint64_t delivered = 0;
     std::uint64_t dup_suppressed = 0;
   };

@@ -19,11 +19,13 @@
 
 #include "abcl/machine_api.hpp"
 #include "abcl/termination.hpp"
+#include "apps/nqueens.hpp"
 #include "ckpt/snapshot.hpp"
 #include "fuzz/interp.hpp"
 #include "fuzz/oracle.hpp"
 #include "fuzz/program_gen.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "sim/parallel_machine.hpp"
 
 namespace {
@@ -513,6 +515,161 @@ TEST(CkptEquivalence, ExplicitBoundariesAndLateCheckpoint) {
   fuzz::RunResult early = fuzz::run_spec_with_checkpoint(spec, kSerial, 1);
   EXPECT_EQ(early.metrics_json, base.metrics_json);
   EXPECT_EQ(early.trace_hash, base.trace_hash);
+}
+
+// ----------------------------------------------- sinks and handoff -------
+
+TEST(CkptSink, OwnedHandoffAdoptsIntoAnEmptySinkAndAppendsOtherwise) {
+  ckpt::MemSink empty;
+  std::string big(1 << 20, 'x');
+  const char* data = big.data();
+  empty.write_owned(std::move(big));
+  EXPECT_EQ(empty.bytes().size(), std::size_t{1} << 20);
+  EXPECT_EQ(empty.bytes().data(), data);  // adopted, not copied
+
+  ckpt::MemSink sink;
+  sink.write("head", 4);
+  sink.write_owned(std::string("tail"));
+  EXPECT_EQ(sink.bytes(), "headtail");
+}
+
+TEST(CkptSink, FileAndMemoryCapturesRestoreTheSame) {
+  const fuzz::Spec spec = fuzz::generate(4);
+  const fuzz::RunResult base = fuzz::run_spec(spec, kSerial);
+  const std::string path = ::testing::TempDir() + "abclsim_sink_snap.bin";
+
+  fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(),
+                     at_config(base.sim_time / 2 + 1));
+  ASSERT_EQ(fw.world().run().stop_reason, StopReason::kCheckpointRequested);
+  ckpt::MemSink mem;
+  fw.checkpoint_to(mem);
+  {
+    ckpt::FileSink file(path);
+    fw.checkpoint_to(file);
+  }
+  std::optional<std::string> on_disk = obs::read_file(path);
+  ASSERT_TRUE(on_disk.has_value());
+  EXPECT_EQ(*on_disk, mem.bytes());
+
+  // Each source restores a world that recaptures to the same bytes and
+  // finishes like the uninterrupted run, with the same metrics.
+  std::string metrics[2];
+  for (bool from_file : {false, true}) {
+    SCOPED_TRACE(from_file ? "FileSource" : "MemSource");
+    if (from_file) {
+      ckpt::FileSource src(path);
+      fw.restore_world(src);
+    } else {
+      ckpt::MemSource src(mem.bytes());
+      fw.restore_world(src);
+    }
+    ckpt::MemSink again;
+    fw.checkpoint_to(again);
+    EXPECT_EQ(again.bytes(), mem.bytes());
+    RunReport r = fw.world().run();
+    EXPECT_EQ(r.stop_reason, StopReason::kQuiesced);
+    EXPECT_EQ(r.sim_time, base.sim_time);
+    EXPECT_TRUE(fw.latch().done());
+    metrics[from_file ? 1 : 0] = obs::metrics_json(fw.world());
+  }
+  EXPECT_EQ(metrics[0], metrics[1]);
+  std::remove(path.c_str());
+}
+
+// ------------------------------------------------ dedup rows ------------
+
+// Does any destination's dedup row skip a source between two it has heard
+// from? Does any hold a spilled sequence?
+bool dedup_has_gap(const net::Network& net) {
+  const std::int32_t n = net.topology().num_nodes();
+  for (std::int32_t d = 0; d < n; ++d) {
+    const net::DedupRow* row = net.dedup_row(d);
+    if (row == nullptr) continue;
+    int state = 0;  // 0: none touched yet, 1: touched run, 2: gap after it
+    for (std::int32_t s = 0; s < n; ++s) {
+      const bool t = row->touched(s);
+      if (state == 0 && t) state = 1;
+      if (state == 1 && !t) state = 2;
+      if (state == 2 && t) return true;
+    }
+  }
+  return false;
+}
+
+bool dedup_has_spill(const net::Network& net) {
+  for (std::int32_t d = 0; d < net.topology().num_nodes(); ++d) {
+    const net::DedupRow* row = net.dedup_row(d);
+    if (row != nullptr && row->spill_size() > 0) return true;
+  }
+  return false;
+}
+
+TEST(CkptWorld, DedupRowsWithGapsAndSpillsRoundTrip) {
+  // Long reorder delays let 64+ later packets of a channel overtake a
+  // delayed one, so its successors spill; an early boundary catches rows
+  // that have heard from some sources but not from those in between.
+  core::Program prog;
+  const apps::NQueensProgram np = apps::register_nqueens(prog);
+  prog.finalize();
+  const apps::NQueensParams qp = apps::NQueensParams::paper_calibrated(8);
+  net::FaultConfig fc;
+  fc.enabled = true;
+  fc.drop_ppm = 50'000;
+  fc.dup_ppm = 20'000;
+  fc.delay_ppm = 300'000;
+  fc.delay_max = 1'000'000;
+  fc.seed = 3;
+  const sim::Instr step = 2'000;
+  WorldConfig cfg;
+  cfg.with_nodes(4)
+      .with_seed(11)
+      .with_placement(remote::PlacementKind::kRandom)
+      .with_faults(fc)
+      .with_ckpt(at_config(step));
+
+  auto world = std::make_unique<World>(prog, cfg);
+  MailAddr latch;
+  world->boot(0, [&](Ctx& ctx) {
+    latch = ctx.create_local(*np.latch.cls, {});
+    ctx.send_past(latch, np.latch.expect, {1});
+    Word work = (static_cast<Word>(qp.charge_base) << 16) |
+                static_cast<Word>(qp.charge_per_col);
+    Word args[9] = {latch.word_node(), latch.word_ptr(), np.latch.done,
+                    np.done,           static_cast<Word>(qp.n) << 8,
+                    0,                 0,
+                    0,                 work};
+    MailAddr root = ctx.create_local(*np.node_cls, args, 9);
+    ctx.send_past(root, np.go, nullptr, 0);
+  });
+
+  ckpt::MemSink snap;
+  for (sim::Instr at = step;; at += step) {
+    RunReport r = world->run(at);
+    ASSERT_NE(r.stop_reason, StopReason::kQuiesced)
+        << "no boundary had both a gapped and a spilled dedup row";
+    if (dedup_has_gap(world->network()) && dedup_has_spill(world->network())) {
+      world->checkpoint(snap);
+      break;
+    }
+  }
+  RunReport end = world->run();
+  ASSERT_EQ(end.stop_reason, StopReason::kQuiesced);
+  const std::string metrics = obs::metrics_json(*world);
+  EXPECT_EQ(latch_state(latch).total, 92);  // 8-queens solutions
+  world.reset();  // restore re-maps the arenas at their recorded bases
+
+  ckpt::MemSource src(snap.bytes());
+  std::unique_ptr<World> restored = World::restore(prog, src);
+  EXPECT_TRUE(dedup_has_gap(restored->network()));
+  EXPECT_TRUE(dedup_has_spill(restored->network()));
+  ckpt::MemSink again;
+  restored->checkpoint(again);
+  EXPECT_EQ(again.bytes().size(), snap.bytes().size());
+  EXPECT_EQ(again.bytes(), snap.bytes());
+  RunReport replay = restored->run();
+  EXPECT_EQ(replay.stop_reason, StopReason::kQuiesced);
+  EXPECT_EQ(replay.sim_time, end.sim_time);
+  EXPECT_EQ(obs::metrics_json(*restored), metrics);
 }
 
 // The corpus gates. Every seed: uninterrupted serial baseline vs

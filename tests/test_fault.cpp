@@ -19,7 +19,7 @@
 namespace {
 
 using namespace abcl;
-using net::DedupWindow;
+using net::DedupRow;
 using net::FaultConfig;
 using net::FaultPlan;
 using net::kPpmOne;
@@ -174,57 +174,86 @@ TEST(FaultPlanTest, AutoRtoIsFourTimesMinLatencyCapped) {
   EXPECT_EQ(FaultPlan(cfg, 25).rto(), 50u);  // auto rto clamps to the cap
 }
 
-// -------------------------------------------------------- dedup window -----
+// ----------------------------------------------------------- dedup row -----
 
 TEST(Dedup, AcceptsEachSequenceExactlyOnceInOrder) {
-  DedupWindow w;
+  DedupRow w;
+  w.allocate(1);
   for (std::uint64_t s = 0; s < 300; ++s) {
-    EXPECT_TRUE(w.accept(s)) << s;
-    EXPECT_FALSE(w.accept(s)) << s;
+    EXPECT_TRUE(w.accept(0, s)) << s;
+    EXPECT_FALSE(w.accept(0, s)) << s;
   }
-  EXPECT_EQ(w.base(), 300u);
+  EXPECT_EQ(w.base(0), 300u);
   EXPECT_EQ(w.spill_size(), 0u);
 }
 
 TEST(Dedup, OutOfOrderWithinBitmapAdvancesOnGapFill) {
-  DedupWindow w;
-  EXPECT_TRUE(w.accept(1));
-  EXPECT_TRUE(w.accept(3));
-  EXPECT_EQ(w.base(), 0u);  // 0 still missing
-  EXPECT_TRUE(w.accept(0));
-  EXPECT_EQ(w.base(), 2u);  // prefix {0,1} compacted
-  EXPECT_TRUE(w.accept(2));
-  EXPECT_EQ(w.base(), 4u);
-  EXPECT_FALSE(w.accept(1));  // now below base: still a duplicate
+  DedupRow w;
+  w.allocate(1);
+  EXPECT_TRUE(w.accept(0, 1));
+  EXPECT_TRUE(w.accept(0, 3));
+  EXPECT_EQ(w.base(0), 0u);  // 0 still missing
+  EXPECT_TRUE(w.accept(0, 0));
+  EXPECT_EQ(w.base(0), 2u);  // prefix {0,1} compacted
+  EXPECT_TRUE(w.accept(0, 2));
+  EXPECT_EQ(w.base(0), 4u);
+  EXPECT_FALSE(w.accept(0, 1));  // now below base: still a duplicate
 }
 
 TEST(Dedup, BitmapWraparoundAcrossTheWindowEdge) {
   // Deliver 0..199 skipping 63 (the last bit of the initial window). Every
   // seq >= 64 must spill; filling 63 must drain the whole spill in one
   // advance, exercising the migrate-then-recompact loop.
-  DedupWindow w;
+  DedupRow w;
+  w.allocate(1);
   for (std::uint64_t s = 0; s < 200; ++s) {
     if (s == 63) continue;
-    EXPECT_TRUE(w.accept(s)) << s;
+    EXPECT_TRUE(w.accept(0, s)) << s;
   }
-  EXPECT_EQ(w.base(), 63u);
+  EXPECT_EQ(w.base(0), 63u);
   EXPECT_GT(w.spill_size(), 0u);
-  EXPECT_TRUE(w.accept(63));
-  EXPECT_EQ(w.base(), 200u);
+  EXPECT_TRUE(w.accept(0, 63));
+  EXPECT_EQ(w.base(0), 200u);
   EXPECT_EQ(w.spill_size(), 0u);
-  for (std::uint64_t s = 0; s < 200; ++s) EXPECT_FALSE(w.accept(s)) << s;
-  EXPECT_TRUE(w.accept(200));
+  for (std::uint64_t s = 0; s < 200; ++s) EXPECT_FALSE(w.accept(0, s)) << s;
+  EXPECT_TRUE(w.accept(0, 200));
 }
 
 TEST(Dedup, FarAheadSpillIsStillExactlyOnce) {
-  DedupWindow w;
-  EXPECT_TRUE(w.accept(1000));  // way beyond base + 64
-  EXPECT_FALSE(w.accept(1000));
+  DedupRow w;
+  w.allocate(1);
+  EXPECT_TRUE(w.accept(0, 1000));  // way beyond base + 64
+  EXPECT_FALSE(w.accept(0, 1000));
   EXPECT_EQ(w.spill_size(), 1u);
-  for (std::uint64_t s = 0; s < 1000; ++s) EXPECT_TRUE(w.accept(s)) << s;
-  EXPECT_EQ(w.base(), 1001u);  // spill entry folded into the prefix
+  for (std::uint64_t s = 0; s < 1000; ++s) EXPECT_TRUE(w.accept(0, s)) << s;
+  EXPECT_EQ(w.base(0), 1001u);  // spill entry folded into the prefix
   EXPECT_EQ(w.spill_size(), 0u);
-  EXPECT_FALSE(w.accept(1000));
+  EXPECT_FALSE(w.accept(0, 1000));
+}
+
+TEST(Dedup, SourcesShareTheSpillButNotTheirWindows) {
+  // Sources 1 and 3 both spill; source 2 stays inside its bitmap. Filling
+  // source 1's gap must pull only source 1's spill back in.
+  DedupRow w;
+  EXPECT_FALSE(w.allocated());
+  w.allocate(4);
+  EXPECT_TRUE(w.allocated());
+  EXPECT_TRUE(w.accept(1, 100));
+  EXPECT_TRUE(w.accept(3, 100));
+  EXPECT_TRUE(w.accept(2, 0));
+  EXPECT_EQ(w.spill_size(), 2u);
+  EXPECT_FALSE(w.touched(0));
+  EXPECT_TRUE(w.touched(1));  // spill only: base 0, no bits
+  EXPECT_TRUE(w.touched(2));
+  EXPECT_TRUE(w.touched(3));
+  EXPECT_FALSE(w.accept(3, 100));
+  EXPECT_TRUE(w.accept(1, 99));  // a second spilled entry for source 1
+  for (std::uint64_t s = 0; s < 99; ++s) EXPECT_TRUE(w.accept(1, s)) << s;
+  EXPECT_EQ(w.base(1), 101u);
+  EXPECT_EQ(w.spill_size(), 1u);  // source 3's entry stays
+  EXPECT_EQ(w.base(3), 0u);
+  EXPECT_EQ(w.base(2), 1u);
+  EXPECT_FALSE(w.accept(3, 100));
 }
 
 // --------------------------------------------- network-level guarantee -----

@@ -3,9 +3,13 @@
 // seeding.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "apps/counters.hpp"
+#include "ckpt/snapshot.hpp"
 #include "remote/chunk_stock.hpp"
 #include "support.hpp"
 
@@ -76,6 +80,118 @@ TEST(ChunkStock, PendingReplenishClampsAtZero) {
   stock.push(1, 3, c);
   stock.note_replenish_requested(1, 3);
   EXPECT_EQ(stock.planned_depth(1, 3), 2u);  // on hand + in flight
+}
+
+TEST(ChunkStock, SparsePeersAndSizeClassesKeepSeparateStacks) {
+  remote::ChunkStock stock;
+  auto chunk = [](std::uintptr_t i) {
+    return reinterpret_cast<core::ObjectHeader*>(0x1000 * i);
+  };
+  // Far-apart peers, and size classes first seen after rows exist, grow
+  // the layout both ways; (2, 3) goes deeper than the inline slots.
+  stock.push(700, 3, chunk(1));
+  stock.push(2, 11, chunk(2));
+  stock.push(700, 0, chunk(3));
+  for (std::uintptr_t i = 0; i < 5; ++i) stock.push(2, 3, chunk(10 + i));
+  EXPECT_EQ(stock.depth(700, 3), 1u);
+  EXPECT_EQ(stock.depth(2, 11), 1u);
+  EXPECT_EQ(stock.depth(700, 0), 1u);
+  EXPECT_EQ(stock.depth(2, 3), 5u);
+  EXPECT_EQ(stock.depth(700, 11), 0u);
+  EXPECT_EQ(stock.depth(3, 3), 0u);
+  EXPECT_EQ(stock.depth(1000, 3), 0u);  // beyond every row
+  EXPECT_FALSE(stock.try_pop(1000, 3).has_value());
+  EXPECT_EQ(stock.total_chunks(), 8u);
+  for (std::uintptr_t i = 5; i-- > 0;) {
+    EXPECT_EQ(stock.try_pop(2, 3).value(), chunk(10 + i));  // LIFO
+  }
+  EXPECT_FALSE(stock.try_pop(2, 3).has_value());
+  EXPECT_EQ(stock.try_pop(700, 3).value(), chunk(1));
+  EXPECT_EQ(stock.try_pop(700, 0).value(), chunk(3));
+  EXPECT_EQ(stock.try_pop(2, 11).value(), chunk(2));
+  EXPECT_EQ(stock.total_chunks(), 0u);
+  EXPECT_EQ(stock.stats().pushes, 8u);
+  EXPECT_EQ(stock.stats().hits, 8u);
+  EXPECT_EQ(stock.stats().misses, 2u);
+}
+
+TEST(ChunkStock, PendingReplenishWithoutAnyStock) {
+  remote::ChunkStock stock;
+  stock.note_replenish_requested(5, 2);
+  stock.note_replenish_requested(5, 2);
+  EXPECT_EQ(stock.pending_replenish(5, 2), 2u);
+  EXPECT_EQ(stock.depth(5, 2), 0u);
+  EXPECT_EQ(stock.planned_depth(5, 2), 2u);
+  EXPECT_FALSE(stock.try_pop(5, 2).has_value());
+  stock.note_replenish_arrived(5, 2);
+  stock.push(5, 2, reinterpret_cast<core::ObjectHeader*>(0x1000));
+  EXPECT_EQ(stock.pending_replenish(5, 2), 1u);
+  EXPECT_EQ(stock.planned_depth(5, 2), 2u);
+  // An arrival nothing asked for, on a peer past every row, changes nothing.
+  stock.note_replenish_arrived(900, 7);
+  EXPECT_EQ(stock.pending_replenish(900, 7), 0u);
+  EXPECT_EQ(stock.planned_depth(900, 7), 0u);
+}
+
+TEST(RemoteCreate, EmptyStocksSurviveACheckpointInKeyOrder) {
+  Fixture fx;
+  WorldConfig cfg;
+  cfg.with_nodes(4);
+  ckpt::CheckpointConfig ck;
+  ck.enabled = true;
+  ck.at = 1;
+  cfg.with_ckpt(ck);
+  auto world = std::make_unique<World>(fx.prog, cfg);
+  const std::uint16_t a = fx.counter_szcls();
+  const std::uint16_t b = a + 1;
+  core::NodeRuntime& n0 = world->node(0);
+  // Pushed out of key order; (1, a) ends up present but empty, (2, a)
+  // deeper than a cell holds inline.
+  core::ObjectHeader* on3 = world->node(3).format_chunk(a);
+  core::ObjectHeader* on1 = world->node(1).format_chunk(b);
+  n0.stock_push(3, a, on3);
+  n0.stock_push(1, b, on1);
+  n0.stock_push(1, a, world->node(1).format_chunk(a));
+  ASSERT_TRUE(n0.stock_try_pop(1, a).has_value());
+  std::vector<core::ObjectHeader*> on2;
+  for (int i = 0; i < 4; ++i) {
+    on2.push_back(world->node(2).format_chunk(a));
+    n0.stock_push(2, a, on2.back());
+  }
+
+  ckpt::MemSink snap;
+  world->checkpoint(snap);
+  // Node 0's stock section: stocks ascending by (peer << 16 | class), each
+  // stack bottom to top, then no pending entries.
+  auto key = [](std::uint64_t peer, std::uint64_t cls) {
+    return (peer << 16) | cls;
+  };
+  auto word = [](const void* p) { return reinterpret_cast<std::uint64_t>(p); };
+  const std::vector<std::uint64_t> want = {
+      4,                        //
+      key(1, a), 0,             //
+      key(1, b), 1, word(on1),  //
+      key(2, a), 4, word(on2[0]), word(on2[1]), word(on2[2]), word(on2[3]),
+      key(3, a), 1, word(on3),  //
+      0};
+  const std::string bytes(reinterpret_cast<const char*>(want.data()),
+                          want.size() * sizeof(std::uint64_t));
+  EXPECT_NE(snap.bytes().find(bytes), std::string::npos);
+
+  world.reset();  // restore re-maps the arenas at their recorded bases
+  ckpt::MemSource src(snap.bytes());
+  std::unique_ptr<World> restored = World::restore(fx.prog, src);
+  ckpt::MemSink again;
+  restored->checkpoint(again);
+  EXPECT_EQ(again.bytes(), snap.bytes());
+  core::NodeRuntime& r0 = restored->node(0);
+  EXPECT_EQ(r0.stock_depth(1, a), 0u);
+  EXPECT_EQ(r0.stock_depth(2, a), 4u);
+  for (int i = 4; i-- > 0;) {
+    EXPECT_EQ(r0.stock_try_pop(2, a).value(), on2[static_cast<std::size_t>(i)]);
+  }
+  EXPECT_EQ(r0.stock_try_pop(1, b).value(), on1);
+  EXPECT_EQ(r0.stock_try_pop(3, a).value(), on3);
 }
 
 TEST(RemoteCreate, OverfullStockDrainsBackToTargetInsteadOfGrowing) {
