@@ -31,13 +31,11 @@
 // gate) and are spliced into the metrics snapshot as "migration_hotspot"
 // for the regression baseline.
 //
-// Driver policies: ParallelMachine runs flat windows and a static shard at
-// one worker, distance horizons and the shard balancer at more. Window
-// counts are simulated quantities, so two window gates always apply:
-//  - N-queens: the 8-thread run never takes more windows than the 1-thread
-//    run, at every P.
-//  - Torus locality (the workload distance horizons exist for): the
-//    2-thread run takes <= 75% of the 1-thread run's windows.
+// Window gate: ParallelMachine runs the same flat windows at every worker
+// count (only the shard balancer, on above one worker, follows the width),
+// and window counters are simulated quantities. So every thread count must
+// run exactly the 1-thread windows_run and occupancy_sum — on every
+// N-queens P and on a torus-locality world, whose count is also pinned.
 // A clustered workload pins heavy actors on nodes 0 mod 8 of a 64-node
 // world, which the static node-id-mod-T assignment would pile onto worker 0
 // at 8 threads; it runs serial vs 8 threads, whose simulated counters must
@@ -70,10 +68,11 @@ struct Sample {
   std::int64_t solutions = 0;
   sim::Instr sim_time = 0;
   std::uint64_t quanta = 0;
-  // Parallel-driver window count (0 under the serial Machine). A function
-  // of simulated state + the horizon policy only — identical at every
-  // thread count above one, so the committed baseline pins it.
+  // Parallel-driver window counters (0 under the serial Machine).
+  // Functions of simulated state only — identical at every thread count,
+  // so the committed baseline pins them.
   std::uint64_t windows = 0;
+  std::uint64_t occupancy = 0;
 };
 
 Sample run_once(int nodes, int host_threads, const apps::NQueensParams& p,
@@ -99,6 +98,7 @@ Sample run_once(int nodes, int host_threads, const apps::NQueensParams& p,
   s.quanta = r.rep.quanta;
   if (auto* pm = dynamic_cast<sim::ParallelMachine*>(&world.machine())) {
     s.windows = pm->windows_run();
+    s.occupancy = pm->occupancy_sum();
   }
   if (metrics_out != nullptr) *metrics_out = obs::metrics_json(world, &r.rep);
   return s;
@@ -302,18 +302,13 @@ ClusterSample run_clustered(int host_threads) {
 
 // ------------------------------------------ torus-locality window bench -----
 
-// The workload distance horizons exist for: every node of the 16x16 torus
-// churns a node-local chain, phase-shifted by 2 * hops(0, i) instructions -
-// dense in *time*, with the in-time neighbors far apart in *space*. Under
-// the flat windows of a 1-thread run a 20-instr window only reaches phases
-// < 20, so each 200-instr generation costs two barriers. The distance
-// horizons of a multi-thread run price the hops between a node and the
-// frontier into its horizon -- H_i >= K_min + 20 + hops(0,i) > K_min +
-// 2*hops(0,i) -- so every node runs its quantum in the first window and each
-// generation costs one barrier: an asymptotic 50% window reduction, all
-// simulated, which the <= 75% gate pins. (The N-queens runs above are
-// saturated -- queues deep everywhere, every window full either way -- so
-// their reduction is structurally small and only gated as "never more".)
+// Every node of the 16x16 torus churns a node-local chain, phase-shifted
+// by 2 * hops(0, i) <= 32 instructions: dense in *time*, with the in-time
+// neighbors far apart in *space*. The lookahead (wire floor 20 + the
+// sender's send_setup 20 = 40 instr) covers the whole phase spread, so
+// every 200-instr generation runs in one window at every thread count:
+// kLocWindows, which the gate pins. (A window of the wire floor alone would
+// reach only phases < 20 and take two barriers per generation.)
 struct LocalityResult {
   std::uint64_t windows = 0;
   std::uint64_t occupancy = 0;
@@ -324,6 +319,7 @@ struct LocalityResult {
 
 constexpr int kLocNodes = 256;  // 16x16 torus
 constexpr Word kLocFuel = 200;
+constexpr std::uint64_t kLocWindows = 200;  // one per generation
 
 LocalityResult run_locality(int host_threads) {
   core::Program prog;
@@ -425,14 +421,15 @@ int main(int argc, char** argv) {
         std::printf("DIVERGENCE at P=%d threads=%d!\n", nodes, ht);
       }
       if (ht == 1) one = s;
-      // Distance horizons (8 threads) can only remove barriers relative to
-      // the flat windows of the 1-thread run.
-      if (ht == 8 && s.windows > one.windows) {
+      if (ht > 1 &&
+          (s.windows != one.windows || s.occupancy != one.occupancy)) {
         windows_ok = false;
-        std::printf("WINDOW GATE at P=%d: 8 threads ran %llu windows, 1 "
-                    "thread only %llu\n",
-                    nodes, static_cast<unsigned long long>(s.windows),
-                    static_cast<unsigned long long>(one.windows));
+        std::printf("WINDOW GATE at P=%d: %d threads ran %llu windows "
+                    "(occupancy %llu), 1 thread %llu (occupancy %llu)\n",
+                    nodes, ht, static_cast<unsigned long long>(s.windows),
+                    static_cast<unsigned long long>(s.occupancy),
+                    static_cast<unsigned long long>(one.windows),
+                    static_cast<unsigned long long>(one.occupancy));
       }
       if (scaling_gate && ht == 2 && s.wall_ms > 1.5 * serial_ms) {
         scaling_ok = false;
@@ -520,8 +517,7 @@ int main(int argc, char** argv) {
     if (brace != std::string::npos) metrics_serial.insert(brace, hot);
   }
 
-  // Torus-locality window gate: flat windows (1 thread) vs distance
-  // horizons (2 threads).
+  // Torus-locality window gate: 1 and 2 threads run the pinned windows.
   const LocalityResult loc1 = run_locality(1);
   const LocalityResult loc2 = run_locality(2);
   {
@@ -542,12 +538,17 @@ int main(int argc, char** argv) {
       std::printf("DIVERGENCE: locality workload's simulated results differ "
                   "between 1 and 2 threads!\n");
     }
-    if (loc2.windows * 4 > loc1.windows * 3) {
+    if (loc1.windows != kLocWindows || loc2.windows != kLocWindows ||
+        loc1.occupancy != loc2.occupancy) {
       windows_ok = false;
-      std::printf("WINDOW GATE: locality workload — 2 threads ran %llu "
-                  "windows, 1 thread %llu — less than a 25%% reduction\n",
+      std::printf("WINDOW GATE: locality workload — 1 thread ran %llu "
+                  "windows (occupancy %llu), 2 threads %llu (occupancy "
+                  "%llu); both must run %llu\n",
+                  static_cast<unsigned long long>(loc1.windows),
+                  static_cast<unsigned long long>(loc1.occupancy),
                   static_cast<unsigned long long>(loc2.windows),
-                  static_cast<unsigned long long>(loc1.windows));
+                  static_cast<unsigned long long>(loc2.occupancy),
+                  static_cast<unsigned long long>(kLocWindows));
     }
   }
 

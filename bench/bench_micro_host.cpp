@@ -11,7 +11,6 @@
 #include "apps/counters.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
-#include "sim/lookahead.hpp"
 #include "sim/machine.hpp"
 #include "sim/shard_balance.hpp"
 #include "util/arena.hpp"
@@ -275,7 +274,7 @@ void BM_FlushOutboxesMerge(benchmark::State& state) {
         p.handler = 0;
         p.src = src;
         p.dst = (src + 17) % kNodes;
-        p.send_time = t;
+        p.send_time = key + cm.send_setup;  // as every send path stamps it
         p.push(42);
         if (merge) {
           boxes[b].set_current_key(key);
@@ -406,33 +405,6 @@ void BM_MachineQuantumOverhead(benchmark::State& state) {
 BENCHMARK(BM_MachineQuantumOverhead)->Unit(benchmark::kMicrosecond);
 
 // ---- parallel-driver window machinery ---------------------------------------
-
-// Per-window cost of the distance-horizon relaxation: one O(N) min-plus
-// pass over the torus for state.range(0) nodes. Keys cycle through a mix of
-// finite and infinite (idle) entries so the sweep sees realistic data.
-void BM_HorizonRelaxation(benchmark::State& state) {
-  const auto n = static_cast<std::int32_t>(state.range(0));
-  net::Topology topo(net::TopologyKind::kTorus2D, n);
-  sim::HorizonMap hmap(&topo, /*per_hop=*/1);
-  std::vector<sim::Instr> keys(static_cast<std::size_t>(n));
-  std::vector<sim::Instr> out(static_cast<std::size_t>(n));
-  std::uint64_t x = 0x2545f4914f6cdd1dull;
-  for (auto& k : keys) {
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    k = (x & 7) != 0 ? (x % 100000) : sim::kInstrInf;
-  }
-  for (auto _ : state) {
-    hmap.relax(keys, &out);
-    benchmark::DoNotOptimize(out.data());
-    // Drift the keys so successive windows differ, as in a real run.
-    keys[static_cast<std::size_t>(state.iterations()) %
-         keys.size()] += 64;
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_HorizonRelaxation)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 // Per-barrier cost of the deterministic shard rebalance: EWMA fold plus the
 // LPT repack over state.range(0) nodes onto 8 workers.

@@ -152,9 +152,10 @@ RunResult run_spec_with_crash(
     const sim::CostModel& cost = sim::CostModel::ap1000());
 
 struct OracleOptions {
-  // The parallel driver derives its window and shard policies from the
-  // worker count, so 1 covers flat windows + static shard and 2/8 cover
-  // distance horizons + the balancer.
+  // The parallel driver runs the same flat windows at every worker count
+  // and turns the shard balancer on above one worker, so 1 covers the
+  // inline barrier + static shard and 2/8 cover threaded barriers + the
+  // balancer.
   std::vector<int> thread_counts = {1, 2, 8};
   bool metamorphic = true;
 };

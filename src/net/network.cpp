@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -47,9 +48,10 @@ Network::Network(Topology topology, const sim::CostModel* cm,
   ABCL_CHECK(cm_ != nullptr);
   ABCL_CHECK_MSG(cm_->wire_latency + cm_->per_hop > 0,
                  "network lookahead must be positive for the PDES driver");
-  min_latency_raw_ = cm_->wire_latency +
-                     static_cast<sim::Instr>(kMinWireWords) * cm_->per_word;
-  min_latency_ = min_latency_raw_ == 0 ? 1 : min_latency_raw_;
+  const sim::Instr wire_floor =
+      cm_->wire_latency + static_cast<sim::Instr>(kMinWireWords) * cm_->per_word;
+  min_latency_ = wire_floor == 0 ? 1 : wire_floor;
+  lookahead_ = min_latency_ + cm_->send_setup;
   if (use_matrix_) {
     channel_matrix_.assign(
         static_cast<std::size_t>(topology_.num_nodes()) *
@@ -102,13 +104,24 @@ void Network::send(Packet&& p, AmCategory category) {
         ob->sorted_ = false;
       }
     }
+#ifndef NDEBUG
+    // The send floor lookahead() relies on: a send path that stamps before
+    // it charges send_setup fails here, at its source.
+    if (p.send_time < ob->current_key_ + cm_->send_setup) {
+      char msg[192];
+      std::snprintf(msg, sizeof msg,
+                    "node %d stamped send_time %llu below its quantum key "
+                    "%llu + send_setup %llu",
+                    p.src, static_cast<unsigned long long>(p.send_time),
+                    static_cast<unsigned long long>(ob->current_key_),
+                    static_cast<unsigned long long>(cm_->send_setup));
+      util::check_fail("send_time >= key + send_setup", __FILE__, __LINE__,
+                       msg);
+    }
+#endif
     ob->items_.push_back({std::move(p), category, ob->current_key_});
     return;
   }
-  // A direct commit inside a windowed run would bypass the reorder buffer's
-  // key stamping; the parallel driver installs an outbox for every source
-  // before enabling the mode.
-  ABCL_CHECK(!windowed_stats_);
   commit(std::move(p), category);
 }
 
@@ -136,15 +149,7 @@ void Network::commit(Packet&& p, AmCategory category) {
   stats_.payload_words += p.nwords;
   stats_.wire_words += static_cast<std::uint64_t>(p.wire_words());
   stats_.per_category[static_cast<int>(category)] += 1;
-  if (windowed_stats_) {
-    // Park the order-sensitive Welford sample until the global key frontier
-    // passes commit_key_ (see set_windowed_stats); the sums above are
-    // order-free and stay immediate.
-    deferred_lat_.push_back(
-        {commit_key_, p.src, static_cast<double>(arrive - p.send_time)});
-  } else {
-    stats_.wire_latency_instr.add(static_cast<double>(arrive - p.send_time));
-  }
+  stats_.wire_latency_instr.add(static_cast<double>(arrive - p.send_time));
 
   if (fault_plan_ != nullptr) {
     commit_faulty(p);
@@ -282,37 +287,6 @@ void Network::flush_outboxes(Outbox* const* boxes, std::size_t nboxes) {
   flush_touched_.clear();
 }
 
-void Network::set_windowed_stats(bool on) {
-  // Mode flips only happen with the buffer drained (run entry/exit).
-  ABCL_CHECK(deferred_lat_.empty());
-  windowed_stats_ = on;
-  deferred_mid_ = 0;
-}
-
-void Network::drain_deferred_wire_stats(sim::Instr frontier) {
-  auto cmp = [](const DeferredWireSample& a, const DeferredWireSample& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.src < b.src;
-  };
-  if (deferred_mid_ > 0 && deferred_mid_ < deferred_lat_.size()) {
-    // Carry (sorted) + this flush's batch (committed in canonical order, so
-    // already sorted). inplace_merge keeps the carry first on equal (key,
-    // src) — the carry is the earlier program order.
-    std::inplace_merge(deferred_lat_.begin(),
-                       deferred_lat_.begin() +
-                           static_cast<std::ptrdiff_t>(deferred_mid_),
-                       deferred_lat_.end(), cmp);
-  }
-  std::size_t n = 0;
-  while (n < deferred_lat_.size() && deferred_lat_[n].key < frontier) {
-    stats_.wire_latency_instr.add(deferred_lat_[n].v);
-    ++n;
-  }
-  deferred_lat_.erase(deferred_lat_.begin(),
-                      deferred_lat_.begin() + static_cast<std::ptrdiff_t>(n));
-  deferred_mid_ = deferred_lat_.size();
-}
-
 // N-way loser-tree merge over pre-sorted per-worker runs: O(M log N)
 // comparisons on the coordinator instead of O(M log M), with the per-run
 // sorts already paid for in parallel by the workers (sort_canonical at the
@@ -337,10 +311,7 @@ void Network::flush_merge(Outbox* const* boxes, std::size_t nboxes) {
   }
   if (k == 0) return;
   if (k == 1) {
-    for (Outbox::Item& it : *runs[0].items) {
-      commit_key_ = it.key;
-      commit(std::move(it.pkt), it.cat);
-    }
+    for (Outbox::Item& it : *runs[0].items) commit(std::move(it.pkt), it.cat);
     return;
   }
 
@@ -381,7 +352,6 @@ void Network::flush_merge(Outbox* const* boxes, std::size_t nboxes) {
     Cursor& c = runs[winner];
     if (c.pos == c.items->size()) break;  // winner exhausted => all are
     Outbox::Item& it = (*c.items)[c.pos++];
-    commit_key_ = it.key;
     commit(std::move(it.pkt), it.cat);
     winner = replay(winner);
   }

@@ -142,23 +142,6 @@ class Network {
   // after all commits.
   void flush_outboxes(Outbox* const* boxes, std::size_t nboxes);
 
-  // Windowed-commit mode for per-node-horizon windows. Under distance-aware
-  // horizons, consecutive flushes are no longer globally ordered by quantum
-  // key — node A's window may commit sends at keys far beyond the keys node
-  // B commits at the *next* barrier — but the wire-latency Welford stat is
-  // order-sensitive in floating point and must observe samples in the
-  // serial driver's global (key, src, program) order to stay byte-identical.
-  // With this mode on, commit() parks each sample in a reorder buffer
-  // instead of adding it; drain_deferred_wire_stats(frontier) then adds, in
-  // canonical order, every sample with key < frontier. The parallel driver
-  // calls it each barrier with the next window's floor key: no later window
-  // can produce a sample below that, so the drained prefix is complete and
-  // the add order equals the serial order. Every other Stats field is an
-  // order-free sum and stays on the immediate path.
-  void set_windowed_stats(bool on);
-  void drain_deferred_wire_stats(sim::Instr frontier);
-  std::size_t deferred_wire_samples() const { return deferred_lat_.size(); }
-
   // Pops the next packet for `dst` with arrive_time <= now, or nullptr-like
   // false if none. Out-of-order across channels never happens because the
   // per-destination heap orders by arrival. With a fault plan installed,
@@ -176,23 +159,29 @@ class Network {
     return queues_[static_cast<std::size_t>(dst)].size();
   }
 
-  // A strictly positive lower bound on any packet's priced latency: the
-  // parallel driver's lookahead. (Every packet carries >= 4 header words
-  // and hops >= 0; send() clamps zero wire latency up to 1.) Cached at
-  // construction — the window loop reads it every barrier — under the
+  // A strictly positive lower bound on any packet's priced latency. (Every
+  // packet carries >= 4 header words and hops >= 0; send() clamps zero wire
+  // latency up to 1.) FaultPlan anchors its automatic retransmit timeout on
+  // it, so it stays the wire floor alone. Cached at construction under the
   // standing contract that the cost model and topology are immutable for
   // the network's lifetime (nothing exposes a mutation path; a changed
   // model requires a new Network).
   sim::Instr min_packet_latency() const { return min_latency_; }
 
-  // The same floor *without* the clamp-to-1: the distance-aware horizon
-  // adds hops * per_hop on top and must not double-count the clamp the
-  // commit path applies to the whole priced latency. May be 0; the
-  // construction invariant wire_latency + per_hop > 0 keeps the per-pair
-  // bound positive for any src != dst.
-  sim::Instr min_packet_latency_raw() const { return min_latency_raw_; }
+  // The parallel driver's lookahead: min_packet_latency() + the cost
+  // model's send_setup. It bounds how soon a packet can arrive after the
+  // key of the quantum that sends it, because
+  //  - the driver starts every quantum at a clock >= its key;
+  //  - every send path in the core runtime charges send_setup to the node
+  //    clock just before it stamps send_time = clock (Debug builds check
+  //    this at every outbox append, naming the node);
+  //  - every delivered copy, fault-layer retransmits and duplicates
+  //    included, arrives >= send_time + min_packet_latency().
+  // So a window of quanta with keys < min key + lookahead() can never
+  // receive a packet sent inside it.
+  sim::Instr lookahead() const { return lookahead_; }
 
-  // The pricing model (per_hop feeds the distance-aware lookahead).
+  // The pricing model.
   const sim::CostModel& cost_model() const { return *cm_; }
 
   // Packets queued toward any destination (delivered or not yet arrived).
@@ -282,21 +271,8 @@ class Network {
   bool flush_active_ = false;
   std::vector<NodeId> flush_touched_;
   std::vector<std::uint8_t> flush_touched_mark_;
-  sim::Instr min_latency_;      // cached min_packet_latency (immutable model)
-  sim::Instr min_latency_raw_;  // same, without the clamp-to-1
-  // Windowed-stats reorder buffer (see set_windowed_stats): wire-latency
-  // samples parked until the global key frontier passes them. [0,
-  // deferred_mid_) is the (key, src)-sorted carry from earlier flushes;
-  // each flush appends one already-canonical batch behind it.
-  struct DeferredWireSample {
-    sim::Instr key;
-    std::int32_t src;
-    double v;
-  };
-  bool windowed_stats_ = false;
-  sim::Instr commit_key_ = 0;  // quantum key of the send being committed
-  std::vector<DeferredWireSample> deferred_lat_;
-  std::size_t deferred_mid_ = 0;
+  sim::Instr min_latency_;  // cached min_packet_latency (immutable model)
+  sim::Instr lookahead_;    // cached lookahead (immutable model)
   Stats stats_;
   PacketPool pool_;
   PacketPool::Magazine home_mag_;

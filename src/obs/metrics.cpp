@@ -245,7 +245,6 @@ std::string metrics_json(const World& world, const RunReport* rep) {
 std::string driver_metrics_json(const sim::ParallelMachine& pm) {
   JsonWriter w(/*indent=*/0);
   w.begin_object();
-  w.field("distance_horizons", pm.distance_horizons());
   w.field("balanced_shards", pm.balanced_shards());
   w.field("windows_run", pm.windows_run());
   w.field("occupancy_sum", pm.occupancy_sum());

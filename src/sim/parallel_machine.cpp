@@ -18,10 +18,8 @@ ParallelMachine::ParallelMachine(std::vector<NodeExec*> nodes,
                                  std::uint64_t seed)
     : Driver(std::move(nodes)),
       net_(net),
-      lookahead_(net != nullptr ? net->min_packet_latency() : 1),
+      lookahead_(net != nullptr ? net->lookahead() : 1),
       workers_(static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
-      distance_(workers_.size() > 1 && net != nullptr &&
-                !net->faults_enabled()),
       // On a single hardware thread, every spin cycle is stolen from the
       // thread being waited on — park immediately instead.
       spin_limit_(std::thread::hardware_concurrency() > 1 ? kSpinIters : 0) {
@@ -31,18 +29,6 @@ ParallelMachine::ParallelMachine(std::vector<NodeExec*> nodes,
   // where load correlates with id ranges.
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     workers_[i % workers_.size()].shard.push_back(static_cast<NodeId>(i));
-  }
-  if (distance_) {
-    hmap_ = std::make_unique<HorizonMap>(&net_->topology(),
-                                         net_->cost_model().per_hop);
-    // Per-pair price floor is raw_wire + hops * per_hop. The *unclamped*
-    // raw wire floor must be used here: with a zero-cost wire the commit
-    // path clamps the whole priced latency (hops included) up to 1, so
-    // adding the clamped lookahead on top of the hop term would overshoot
-    // the real price. Positivity for j != i follows from the network's
-    // ctor invariant wire_latency + per_hop > 0 and hops >= 1.
-    dist_base_ = net_->min_packet_latency_raw();
-    horizons_.assign(nodes_.size(), 0);
   }
   node_key_.assign(nodes_.size(), kInstrInf);
   if (workers_.size() > 1) {
@@ -63,15 +49,13 @@ Instr ParallelMachine::effective_key(NodeExec& n) const {
 }
 
 void ParallelMachine::run_shard(Worker& w) {
-  const Instr global_horizon = window_horizon_;
+  const Instr horizon = window_horizon_;
   const Instr max_time = window_max_time_;
-  const bool distance = distance_;
   const bool balanced = balancer_ != nullptr;
   Instr shard_min = kInstrInf;
   std::uint64_t active = 0;
   for (NodeId id : w.shard) {
     const auto idx = static_cast<std::size_t>(id);
-    const Instr horizon = distance ? horizons_[idx] : global_horizon;
     // The cached key is exact at window start (see node_key_), so a node
     // outside the window is skipped without touching it.
     Instr key = node_key_[idx];
@@ -128,19 +112,6 @@ void ParallelMachine::worker_main(Worker& w) {
   }
 }
 
-void ParallelMachine::compute_horizons() {
-  hmap_->relax(node_key_, &node_bound_);
-  horizons_.resize(node_bound_.size());
-  for (std::size_t i = 0; i < node_bound_.size(); ++i) {
-    // Fold the node's own key back in with hops = 0: the runtime does emit
-    // genuine self-packets (e.g. a remote-create whose placement picks the
-    // caller's node), and those travel through Network::send with the same
-    // wire floor as any other packet. Excluding the self term would let a
-    // node run past the arrival of a packet it has not sent yet.
-    horizons_[i] = sat_add(std::min(node_bound_[i], node_key_[i]), dist_base_);
-  }
-}
-
 void ParallelMachine::flush_commits() {
   if (net_ == nullptr) return;
   // Commit every buffered send in canonical (quantum key, src) order —
@@ -151,8 +122,7 @@ void ParallelMachine::flush_commits() {
   net_->flush_outboxes(outbox_ptrs_.data(), outbox_ptrs_.size());
 }
 
-void ParallelMachine::replay_traces(Instr frontier) {
-  const std::size_t carry = trace_merge_.size();
+void ParallelMachine::replay_traces() {
   for (auto& w : workers_) {
     trace_merge_.insert(trace_merge_.end(), w.traces.items_.begin(),
                         w.traces.items_.end());
@@ -161,37 +131,19 @@ void ParallelMachine::replay_traces(Instr frontier) {
   if (trace_merge_.empty()) return;
   // Serial execution order is ascending (quantum key, node); each node's
   // events live in one worker's buffer in program order, which the stable
-  // sort preserves. The carried suffix from earlier windows is already
-  // sorted and precedes this window's events of any equal (key, node) in
-  // program order, so the merge keeps it first.
-  auto cmp = [](const WindowTraceBuffer::Tagged& a,
-                const WindowTraceBuffer::Tagged& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.ev.node < b.ev.node;
-  };
-  if (trace_merge_.size() > carry) {
-    std::stable_sort(
-        trace_merge_.begin() + static_cast<std::ptrdiff_t>(carry),
-        trace_merge_.end(), cmp);
-    if (carry > 0) {
-      std::inplace_merge(trace_merge_.begin(),
-                         trace_merge_.begin() +
-                             static_cast<std::ptrdiff_t>(carry),
-                         trace_merge_.end(), cmp);
-    }
-  }
-  // Replay everything strictly below the next window's floor key: no later
-  // window can produce an event below it. Under the flat horizon that is
-  // always the whole buffer; under distance horizons the remainder carries.
-  std::size_t n = 0;
-  while (n < trace_merge_.size() && trace_merge_[n].key < frontier) {
-    const auto& t = trace_merge_[n];
+  // sort preserves. Every later window runs at keys >= this window's (see
+  // file header), so the whole buffer replays now.
+  std::stable_sort(trace_merge_.begin(), trace_merge_.end(),
+                   [](const WindowTraceBuffer::Tagged& a,
+                      const WindowTraceBuffer::Tagged& b) {
+                     if (a.key != b.key) return a.key < b.key;
+                     return a.ev.node < b.ev.node;
+                   });
+  for (const auto& t : trace_merge_) {
     Tracer* dst = saved_tracers_[static_cast<std::size_t>(t.ev.node)];
     if (dst != nullptr) dst->record(t.ev.t, t.ev.node, t.ev.kind, t.ev.payload);
-    ++n;
   }
-  trace_merge_.erase(trace_merge_.begin(),
-                     trace_merge_.begin() + static_cast<std::ptrdiff_t>(n));
+  trace_merge_.clear();
 }
 
 void ParallelMachine::install_node(NodeId id, Worker& w) {
@@ -258,11 +210,6 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
       }
     }
   }
-  // Flat windows drain completely at every barrier and commit in canonical
-  // order, so wire-latency samples can go straight into the stat; only
-  // distance horizons need the reorder buffer.
-  if (net_ != nullptr && distance_) net_->set_windowed_stats(true);
-
   const bool threaded = workers_.size() > 1;
   if (threaded) {
     epoch_.store(0, std::memory_order_relaxed);
@@ -297,7 +244,6 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
     audit_keys();
     window_horizon_ = sat_add(min_key, lookahead_);
     window_max_time_ = max_time;
-    if (distance_) compute_horizons();
 
     std::uint64_t e = 0;
     if (threaded) {
@@ -329,11 +275,7 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
       occupancy_sum_ += w.active;
       run_quanta += w.quanta;
     }
-    // min_key is the next window's floor: every later quantum (and so every
-    // later send or trace event) carries a key >= it. Release the deferred
-    // order-sensitive observables up to that frontier.
-    if (net_ != nullptr && distance_) net_->drain_deferred_wire_stats(min_key);
-    replay_traces(min_key);
+    replay_traces();
     ++windows_;
     if (balancer_ != nullptr && run_quanta >= rebalance_at) {
       apply_rebalance();
@@ -350,13 +292,6 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
     threads_.clear();
   }
 
-  // Exiting the loop means min_key exceeded max_time (or went infinite);
-  // every executed quantum had key <= max_time < that final frontier, so
-  // both reorder buffers drained completely.
-  if (net_ != nullptr) {
-    ABCL_CHECK(net_->deferred_wire_samples() == 0);
-    net_->set_windowed_stats(false);
-  }
   ABCL_CHECK(trace_merge_.empty());
 
   // Restore tracers and the direct send/release paths. Worker threads are

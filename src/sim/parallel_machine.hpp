@@ -1,33 +1,23 @@
 // Host-parallel conservative PDES driver.
 //
-// Bounded-window synchronization. Under the flat policy each round computes
+// Bounded-window synchronization, one policy at every worker count. Each
+// round computes
 //   horizon = min(effective key over all nodes) + lookahead
-// where lookahead is the minimum positive latency any packet can have
-// (net::Network::min_packet_latency). Every quantum with key < horizon is
-// independent of every send issued inside the window — such a send arrives
-// at >= min_key + lookahead = horizon — so a fixed pool of worker threads
-// executes all of them concurrently.
-//
-// Distance-aware horizons: the flat bound ignores that a packet from j to i
-// is priced at >= lookahead + per_hop * hops(j, i), so node i may instead
-// run to the per-node horizon
-//   H_i = lookahead + min(key_i, min_{j != i} (key_j + per_hop * hops(j, i)))
-// computed each window in O(N): sim::HorizonMap supplies the exclude-self
-// hop term (see lookahead.hpp for its transforms) and compute_horizons()
-// folds the node's own key back in at hops = 0. The self term is needed:
-// the runtime does send packets to its own node (a remote-create whose
-// placement picks the caller's node), and without it a node could run past
-// the arrival of a packet it has not sent yet. Windows get wider the
-// farther a node sits from the global minimum, which only changes *when*
-// barriers happen, never what executes: any conservative window executes
-// the same quanta with the same inputs as the serial driver.
+// where lookahead is net::Network::lookahead(): the wire floor plus the
+// sender's send_setup, the least distance from a sending quantum's key to
+// that packet's arrival (see there for why it holds, fault layer
+// included). Every quantum with key < horizon is independent of every send
+// issued inside the window — such a send arrives at >= min_key + lookahead
+// = horizon — so a fixed pool of worker threads executes all of them
+// concurrently. Without a network (driver-only unit tests) the lookahead
+// is 1 and sends are not redirected.
 //
 // Cached window keys: node_key_[i] holds node i's effective key and is
 // exact at every window start. Between runs anything may move a key
 // (World::boot), so run() entry rescans every node; inside a run only the
 // node's own quanta and flush-time deliveries move it, so run_shard stores
 // the key at each node's break and notify_work refreshes every delivery's
-// destination. A node whose cached key is outside its window (>= its
+// destination. A node whose cached key is outside the window (>= the
 // horizon, or > max_time) would not execute a quantum, so run_shard skips
 // it with one compare and no virtual call: a window costs O(nodes) array
 // reads plus the work it actually runs. Debug builds audit the cache at
@@ -40,20 +30,16 @@
 // channel floors are per-src/per-channel, so they only need each source's
 // program order, which any window shape preserves. The two *globally*
 // order-sensitive observables — the network's Welford wire-latency stat and
-// trace replay — are reordered behind the global key frontier: each barrier
-// computes the next window's floor key F (no later quantum, hence no later
-// send or trace event, can carry a key < F), drains the network's deferred
-// stat samples below F (Network::drain_deferred_wire_stats) and replays
-// buffered trace events below F sorted by (key, node), carrying the rest.
-// Under the flat policy every window drains completely (all keys < horizon
-// <= F), so consecutive flushes are already in global key order: the wire
-// stat takes its samples directly at commit and only distance horizons turn
-// the network's reorder buffer on. Under distance horizons the carry
-// reconstructs the serial global order across windows. Either way the
-// results are bit-identical to a serial run at any thread count.
+// trace replay — need the serial driver's global key order across
+// barriers, and flat windows give it for free: every delivery a flush
+// makes arrives at >= the horizon, so the next window's floor key is >=
+// every key this window executed. The wire stat therefore takes its
+// samples directly at commit, and each barrier replays its window's trace
+// events sorted by (key, node) and drains them completely. The results
+// are bit-identical to a serial run at any thread count.
 //
 // Shard policy: nodes map statically to workers (node id mod thread count)
-// or, with more than one worker, are reassigned at window barriers (at
+// and, with more than one worker, are reassigned at window barriers (at
 // most once per N committed quanta) by sim::ShardBalancer from per-node
 // committed-quantum EWMAs — a pure function of simulated state and the
 // worker count, so the assignment history never depends on host timing.
@@ -69,9 +55,9 @@
 // structure is the packet pool's depot, which a worker only reaches
 // through its magazine's overflow path
 // (mutex-guarded, amortized one trip per kMagazineCap frees). Window
-// parameters — horizon, per-node horizon vector, shard vectors — are
-// written by the coordinator between windows and published by the
-// release/acquire pair on epoch_.
+// parameters — horizon, max time, shard vectors — are written by the
+// coordinator between windows and published by the release/acquire pair on
+// epoch_.
 //
 // Threads: with T > 1 workers the coordinator runs workers_[0]'s shard
 // itself between publishing an epoch and waiting at the barrier, and T - 1
@@ -92,7 +78,6 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "sim/lookahead.hpp"
 #include "sim/machine.hpp"
 #include "sim/shard_balance.hpp"
 #include "sim/trace.hpp"
@@ -102,21 +87,9 @@ namespace abcl::sim {
 class ParallelMachine : public Driver {
  public:
   // `num_threads` is clamped to >= 1; `seed` feeds the shard balancer's
-  // tie-break stream (the world seed). Both policies follow from the worker
-  // count, since neither changes a simulated result:
-  //  - With one worker the barrier is an inline call, so the per-node
-  //    horizon relaxation and the shard balancer would be pure overhead:
-  //    flat windows, static shard.
-  //  - With several workers every barrier is a cross-thread handshake,
-  //    which is what distance horizons (fewer windows) and the balancer
-  //    (load-aware shards) exist to save.
-  // Distance horizons additionally need the network's topology and cost
-  // model, so `net == nullptr` (driver-only unit tests; lookahead falls
-  // back to 1 and sends are not redirected) keeps flat windows. Fault
-  // injection keeps them too. That is a conservative choice, not a known
-  // unsoundness: every fault-layer copy still arrives at >= send time + the
-  // priced latency (net/fault.hpp), but the distance bound was only ever
-  // validated on fault-free runs.
+  // tie-break stream (the world seed). The shard balancer runs only with
+  // more than one worker: with one the barrier is an inline call and there
+  // is no shard to balance.
   ParallelMachine(std::vector<NodeExec*> nodes, net::Network* net,
                   int num_threads, std::uint64_t seed = 1);
   ~ParallelMachine() override;
@@ -133,16 +106,14 @@ class ParallelMachine : public Driver {
   std::uint64_t windows_run() const { return windows_; }
   // Sum over windows of nodes that executed >= 1 quantum: occupancy_sum /
   // windows_run is the mean window occupancy. Both are functions of
-  // simulated state and the horizon policy only, so they are identical at
-  // every worker count above one.
+  // simulated state only, so they are identical at every worker count.
   std::uint64_t occupancy_sum() const { return occupancy_sum_; }
   // Barrier-time reassignments applied / individual node moves. Zero on
   // single-worker runs; depends on the worker count (but never on anything
   // simulated-observable).
   std::uint64_t rebalances() const { return rebalances_; }
   std::uint64_t shard_moves() const { return shard_moves_; }
-  // The policies the ctor derived (see there).
-  bool distance_horizons() const { return distance_; }
+  // Whether the ctor turned the shard balancer on (see there).
   bool balanced_shards() const { return balancer_ != nullptr; }
 
  private:
@@ -188,20 +159,18 @@ class ParallelMachine : public Driver {
   void audit_keys() const;
   void run_shard(Worker& w);
   void worker_main(Worker& w);
-  void compute_horizons();
   void flush_commits();
-  void replay_traces(Instr frontier);
+  void replay_traces();
   void install_node(NodeId id, Worker& w);
   void apply_rebalance();
 
   net::Network* net_;
   Instr lookahead_;
   std::vector<Worker> workers_;
-  bool distance_;  // derived horizon policy (see ctor)
 
   // Window parameters, written by the coordinator before it releases an
   // epoch; the release/acquire pair on epoch_ publishes them (along with
-  // horizons_ and any shard reassignment).
+  // any shard reassignment).
   Instr window_horizon_ = 0;
   Instr window_max_time_ = kInstrInf;
 
@@ -217,18 +186,10 @@ class ParallelMachine : public Driver {
   std::condition_variable epoch_cv_;  // workers park here between windows
   std::condition_variable done_cv_;   // coordinator parks here at barriers
 
-  // Per-node window-start keys under both policies (see file header): each
-  // worker writes only its shard's slots; the coordinator folds flush-time
-  // deliveries in via notify_work.
+  // Per-node window-start keys (see file header): each worker writes only
+  // its shard's slots; the coordinator folds flush-time deliveries in via
+  // notify_work.
   std::vector<Instr> node_key_;
-
-  // Distance-horizon state: the per-node horizons derived from node_key_.
-  std::unique_ptr<HorizonMap> hmap_;
-  // Unclamped wire floor for the per-pair bound (see ctor); the clamped
-  // lookahead_ stays the flat policy's window width.
-  Instr dist_base_ = 1;
-  std::vector<Instr> node_bound_;  // relax() scratch
-  std::vector<Instr> horizons_;
 
   // Balanced-shard state: per-node quanta since the last rebalance (worker-
   // written, disjoint slots) feeding the balancer's EWMAs.
@@ -237,9 +198,6 @@ class ParallelMachine : public Driver {
 
   // Replay scratch + original tracers saved across a run() while buffers
   // are interposed (index = node id; nullptr = node had no tracer).
-  // trace_merge_ persists across windows under distance horizons: the
-  // (key, node)-sorted suffix at or beyond the key frontier carries over
-  // until the frontier passes it.
   std::vector<net::Network::Outbox*> outbox_ptrs_;
   std::vector<WindowTraceBuffer::Tagged> trace_merge_;
   std::vector<Tracer*> saved_tracers_;

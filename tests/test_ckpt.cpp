@@ -305,10 +305,10 @@ TEST(CkptWorld, FileCheckpointIsTransparentAndRecaptureRoundTrips) {
   std::remove(ck.path.c_str());
 }
 
-TEST(CkptWorld, RestoredDriverDerivesPoliciesFromItsWidth) {
-  // Snapshots carry no driver policy: a world captured at 1 worker (flat
-  // windows, static shard) restores under whatever width the caller picks,
-  // and the restored driver derives its policies from that width.
+TEST(CkptWorld, RestoredDriverRunsTheSameWindowsAtAnyWidth) {
+  // Snapshots carry no driver state: a world captured at 1 worker restores
+  // under whatever width the caller picks. Every width runs the same flat
+  // windows from the boundary; only the shard balancer follows the width.
   const fuzz::Spec spec = fuzz::generate(2);
   const fuzz::RunResult base = fuzz::run_spec(spec, kSerial);
   const std::uint64_t at = base.sim_time / 2 + 1;
@@ -321,23 +321,30 @@ TEST(CkptWorld, RestoredDriverDerivesPoliciesFromItsWidth) {
   fw.checkpoint_to(sink);
 
   // 0 keeps the snapshot's 1 worker; kSerial restores onto the Machine.
+  std::uint64_t windows = 0, occupancy = 0;
   for (int restore_threads : {0, kSerial, 2, 8}) {
     SCOPED_TRACE("restore_threads=" + std::to_string(restore_threads));
     ckpt::MemSource src(sink.bytes());
     fw.restore_world(src, nullptr, restore_threads);
-    auto* pm = dynamic_cast<sim::ParallelMachine*>(&fw.world().machine());
-    if (restore_threads == kSerial) {
-      EXPECT_EQ(pm, nullptr);
-    } else {
-      ASSERT_NE(pm, nullptr);
-      const bool multi = restore_threads > 1;
-      EXPECT_EQ(pm->distance_horizons(), multi);
-      EXPECT_EQ(pm->balanced_shards(), multi);
-    }
     RunReport r2 = fw.world().run();
     EXPECT_EQ(r2.stop_reason, StopReason::kQuiesced);
     EXPECT_EQ(r2.sim_time, base.sim_time);
     EXPECT_TRUE(fw.latch().done());
+    auto* pm = dynamic_cast<sim::ParallelMachine*>(&fw.world().machine());
+    if (restore_threads == kSerial) {
+      EXPECT_EQ(pm, nullptr);
+      continue;
+    }
+    ASSERT_NE(pm, nullptr);
+    EXPECT_EQ(pm->balanced_shards(), restore_threads > 1);
+    if (restore_threads == 0) {
+      windows = pm->windows_run();
+      occupancy = pm->occupancy_sum();
+      EXPECT_GT(windows, 0u);
+    } else {
+      EXPECT_EQ(pm->windows_run(), windows);
+      EXPECT_EQ(pm->occupancy_sum(), occupancy);
+    }
   }
 }
 

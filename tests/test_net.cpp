@@ -198,26 +198,31 @@ TEST(Network, ChannelFifoEvenWithReorderedSendTimes) {
   EXPECT_EQ(out.at(0), 2u);
 }
 
-TEST(Network, MinPacketLatencyCachedAndClampedToOne) {
-  // ap1000: the floor is wire_latency plus the 4 mandatory header words;
-  // nonzero, so clamped and raw agree.
+TEST(Network, LookaheadIsWireFloorPlusSendSetup) {
+  // ap1000: the wire floor is wire_latency plus the 4 mandatory header
+  // words, and every send pays send_setup (20 instr) before it stamps.
   sim::CostModel cm = sim::CostModel::ap1000();
   auto net = make_net(16, &cm);
-  EXPECT_EQ(net.min_packet_latency_raw(), cm.wire_latency + 4 * cm.per_word);
-  EXPECT_EQ(net.min_packet_latency(), net.min_packet_latency_raw());
+  EXPECT_EQ(net.min_packet_latency(), cm.wire_latency + 4 * cm.per_word);
+  EXPECT_EQ(cm.send_setup, 20u);
+  EXPECT_EQ(net.lookahead(), net.min_packet_latency() + 20);
+
+  // The free model: a 1-instr wire and no send setup.
+  sim::CostModel zero = sim::CostModel::zero();
+  EXPECT_EQ(make_net(16, &zero).lookahead(), 1u);
 
   // Free wire + free words (per-hop-only pricing, which still satisfies the
-  // wire_latency + per_hop > 0 invariant): the effective lookahead clamps up
-  // to 1 — a zero-width window could never advance — while the raw floor
-  // stays 0, because the distance horizon adds hops * per_hop on top and
-  // must not double-count the clamp the commit path applies.
+  // wire_latency + per_hop > 0 invariant): the wire floor clamps up to 1,
+  // as the commit path clamps a zero priced latency, and send_setup adds
+  // on top.
   sim::CostModel free_wire = sim::CostModel::zero();
   free_wire.wire_latency = 0;
   free_wire.per_word = 0;
   free_wire.per_hop = 1;
+  free_wire.send_setup = 7;
   auto net0 = make_net(16, &free_wire);
-  EXPECT_EQ(net0.min_packet_latency_raw(), 0);
-  EXPECT_EQ(net0.min_packet_latency(), 1);
+  EXPECT_EQ(net0.min_packet_latency(), 1u);
+  EXPECT_EQ(net0.lookahead(), 1u + 7);
 }
 
 TEST(Network, InFlightCountsAndStats) {
@@ -357,7 +362,7 @@ TEST(Network, OutboxBuffersUntilFlush) {
   net::Network::Outbox ob;
   net.set_outbox(0, &ob);
   ob.set_current_key(0);
-  net.send(make_pkt(0, 1, 0), net::AmCategory::kObjectMessage);
+  net.send(make_pkt(0, 1, cm.send_setup), net::AmCategory::kObjectMessage);
   EXPECT_EQ(ob.size(), 1u);
   EXPECT_EQ(net.in_flight(), 0u);
   EXPECT_EQ(net.next_arrival(1), sim::kInstrInf);  // nothing committed yet
@@ -368,6 +373,28 @@ TEST(Network, OutboxBuffersUntilFlush) {
   Packet out;
   ASSERT_TRUE(net.poll(1, sim::kInstrInf, out));
   net.set_outbox(0, nullptr);
+}
+
+// A send path that stamps send_time before charging send_setup would let a
+// packet beat the driver's lookahead; Debug builds stop it at the append.
+TEST(NetworkDeathTest, OutboxAppendChecksTheSendFloor) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "ABCL_DCHECK is compiled out";
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  sim::CostModel cm = sim::CostModel::ap1000();
+  auto net = make_net(4, &cm);
+  net::Network::Outbox ob;
+  net.set_outbox(2, &ob);
+  ob.set_current_key(100);
+  EXPECT_DEATH(net.send(make_pkt(2, 1, 100 + cm.send_setup - 1),
+                        net::AmCategory::kObjectMessage),
+               "node 2 stamped send_time 119 below its quantum key 100");
+  net.send(make_pkt(2, 1, 100 + cm.send_setup),
+           net::AmCategory::kObjectMessage);
+  EXPECT_EQ(ob.size(), 1u);
+  net.set_outbox(2, nullptr);
+#endif
 }
 
 TEST(Network, FlushCommitsInCanonicalKeySrcOrderAcrossOutboxes) {
@@ -382,19 +409,21 @@ TEST(Network, FlushCommitsInCanonicalKeySrcOrderAcrossOutboxes) {
   buffered.set_outbox(0, &ob0);
   buffered.set_outbox(1, &ob1);
   // Worker 0 runs node 0's quanta at keys 50 then 70; worker 1 runs node
-  // 1's quantum at key 60. Host issue order is scrambled on purpose.
+  // 1's quantum at key 60. Host issue order is scrambled on purpose; each
+  // send is stamped after its send_setup, as the runtime stamps it.
+  const sim::Instr su = cm.send_setup;
   ob0.set_current_key(50);
-  buffered.send(make_pkt(0, 2, 50, 1), net::AmCategory::kObjectMessage);
+  buffered.send(make_pkt(0, 2, 50 + su, 1), net::AmCategory::kObjectMessage);
   ob0.set_current_key(70);
-  buffered.send(make_pkt(0, 2, 70, 3), net::AmCategory::kObjectMessage);
+  buffered.send(make_pkt(0, 2, 70 + su, 3), net::AmCategory::kObjectMessage);
   ob1.set_current_key(60);
-  buffered.send(make_pkt(1, 2, 60, 2), net::AmCategory::kObjectMessage);
+  buffered.send(make_pkt(1, 2, 60 + su, 2), net::AmCategory::kObjectMessage);
   net::Network::Outbox* boxes[] = {&ob1, &ob0};  // order must not matter
   buffered.flush_outboxes(boxes, 2);
 
-  direct.send(make_pkt(0, 2, 50, 1), net::AmCategory::kObjectMessage);
-  direct.send(make_pkt(1, 2, 60, 2), net::AmCategory::kObjectMessage);
-  direct.send(make_pkt(0, 2, 70, 3), net::AmCategory::kObjectMessage);
+  direct.send(make_pkt(0, 2, 50 + su, 1), net::AmCategory::kObjectMessage);
+  direct.send(make_pkt(1, 2, 60 + su, 2), net::AmCategory::kObjectMessage);
+  direct.send(make_pkt(0, 2, 70 + su, 3), net::AmCategory::kObjectMessage);
 
   Packet a, b;
   for (int i = 0; i < 3; ++i) {
@@ -457,7 +486,7 @@ void check_canonical_flush(std::size_t nitems, bool in_order) {
   for (int s = 0; s < kSrcs; ++s) buffered.set_outbox(s, &ob);
   for (const Sent& x : sent) {
     ob.set_current_key(x.key);
-    buffered.send(make_pkt(x.src, x.dst, x.key, x.tag),
+    buffered.send(make_pkt(x.src, x.dst, x.key + cm.send_setup, x.tag),
                   net::AmCategory::kObjectMessage);
   }
   ASSERT_EQ(ob.size(), nitems);
@@ -471,7 +500,7 @@ void check_canonical_flush(std::size_t nitems, bool in_order) {
     for (int s = 0; s < kSrcs; ++s) {
       for (const Sent& x : sent) {
         if (x.key == k && x.src == s) {
-          direct.send(make_pkt(x.src, x.dst, x.key, x.tag),
+          direct.send(make_pkt(x.src, x.dst, x.key + cm.send_setup, x.tag),
                       net::AmCategory::kObjectMessage);
         }
       }

@@ -1,25 +1,25 @@
-// Topology-aware lookahead + deterministic shard balancing: unit tests for
-// HorizonMap's O(N) exclude-self min-plus relaxation against the O(N^2)
-// brute force, the line transform it is built from, the ShardBalancer's
-// deterministic LPT packing, and the ParallelMachine's worker-count-derived
-// policies: byte-identity to serial at 1/2/8 workers, and the fault and
-// null-network fallbacks to the flat window. The cached window keys are
-// exercised where they can go stale: flush-time wakeups of idle nodes and
-// work injected between run(max_time) slices.
+// The parallel driver's window and shard machinery: the ShardBalancer's
+// deterministic LPT packing, and the ParallelMachine's one window policy
+// (flat windows whose lookahead counts the sender's send_setup): byte-
+// identity to serial and identical window counters at 1/2/8 workers, with
+// and without faults, and the balancer only above one worker. The cached
+// window keys are exercised where they can go stale: flush-time wakeups of
+// idle nodes and work injected between run(max_time) slices.
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "abcl/abcl.hpp"
 #include "apps/nqueens.hpp"
 #include "apps/pingpong.hpp"
+#include "core/object.hpp"
 #include "net/fault.hpp"
 #include "net/topology.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "sim/lookahead.hpp"
 #include "sim/parallel_machine.hpp"
 #include "sim/shard_balance.hpp"
 #include "sim/trace.hpp"
@@ -27,157 +27,27 @@
 namespace {
 
 using namespace abcl;
-using net::Topology;
-using net::TopologyKind;
-using sim::HorizonMap;
 using sim::Instr;
 using sim::kInstrInf;
 using sim::sat_add;
 
-// Deterministic key stream: SplitMix64 over an index, occasionally idle.
-Instr key_at(std::uint64_t seed, std::uint64_t i, bool allow_inf = true) {
+// Deterministic value stream: SplitMix64 over an index.
+std::uint64_t key_at(std::uint64_t seed, std::uint64_t i) {
   std::uint64_t z = seed + (i + 1) * 0x9e3779b97f4a7c15ull;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   z ^= z >> 31;
-  if (allow_inf && (z & 7) == 0) return kInstrInf;  // 1/8 idle
-  return static_cast<Instr>(z % 100'000);
+  return z % 100'000;
 }
 
 // ------------------------------------------------------------ sat_add -----
 
-TEST(Lookahead, SatAddSaturatesAtInf) {
+TEST(SimTime, SatAddSaturatesAtInf) {
   EXPECT_EQ(sat_add(5, 7), 12u);
   EXPECT_EQ(sat_add(kInstrInf, 0), kInstrInf);
   EXPECT_EQ(sat_add(kInstrInf, 5), kInstrInf);
   EXPECT_EQ(sat_add(kInstrInf - 3, 5), kInstrInf);
   EXPECT_EQ(sat_add(0, kInstrInf), kInstrInf);
-}
-
-// -------------------------------------------------- line_min_plus_excl ----
-
-// O(n^2) reference of the exclude-self line transform.
-void line_ref(const std::vector<Instr>& a, Instr w, bool wrap,
-              std::vector<Instr>* out) {
-  const std::size_t n = a.size();
-  out->assign(n, kInstrInf);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      std::size_t d = i > j ? i - j : j - i;
-      if (wrap) d = std::min(d, n - d);
-      Instr v = sat_add(a[j], w * static_cast<Instr>(d));
-      (*out)[i] = std::min((*out)[i], v);
-    }
-  }
-}
-
-TEST(Lookahead, LineMinPlusExclMatchesReference) {
-  for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 8u, 17u}) {
-    for (Instr w : {Instr{0}, Instr{1}, Instr{7}}) {
-      for (bool wrap : {false, true}) {
-        std::vector<Instr> a(n), got(n), want;
-        for (std::size_t i = 0; i < n; ++i) a[i] = key_at(42 * n + w, i);
-        sim::line_min_plus_excl(a.data(), n, w, wrap, got.data());
-        line_ref(a, w, wrap, &want);
-        EXPECT_EQ(got, want) << "n=" << n << " w=" << w << " wrap=" << wrap;
-      }
-    }
-  }
-}
-
-TEST(Lookahead, LineMinPlusExclAllIdleIsIdle) {
-  std::vector<Instr> a(6, kInstrInf), got(6);
-  sim::line_min_plus_excl(a.data(), a.size(), 3, true, got.data());
-  for (Instr v : got) EXPECT_EQ(v, kInstrInf);
-}
-
-// ----------------------------------------------------------- HorizonMap ---
-
-// relax() must equal brute_force() exactly on every topology with an exact
-// transform. Sizes deliberately include 1 (no other node -> inf), primes
-// (grids degrade to Nx1) and non-square factorizations (12 = 4x3, 30 = 6x5).
-TEST(Lookahead, RelaxMatchesBruteForceOnExactTopologies) {
-  const TopologyKind kinds[] = {TopologyKind::kTorus2D, TopologyKind::kMesh2D,
-                                TopologyKind::kFullyConnected,
-                                TopologyKind::kRing};
-  const std::int32_t sizes[] = {1, 2, 3, 4, 5, 7, 12, 16, 30, 64};
-  for (TopologyKind kind : kinds) {
-    for (std::int32_t n : sizes) {
-      Topology topo(kind, n);
-      for (Instr per_hop : {Instr{0}, Instr{1}, Instr{3}}) {
-        HorizonMap hmap(&topo, per_hop);
-        std::vector<Instr> keys(static_cast<std::size_t>(n)), got;
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-          keys[i] = key_at(static_cast<std::uint64_t>(n) * 31 + per_hop, i);
-        }
-        hmap.relax(keys, &got);
-        ASSERT_EQ(got.size(), keys.size());
-        for (std::int32_t i = 0; i < n; ++i) {
-          EXPECT_EQ(got[static_cast<std::size_t>(i)],
-                    HorizonMap::brute_force(topo, per_hop, keys, i))
-              << "kind=" << static_cast<int>(kind) << " n=" << n
-              << " per_hop=" << per_hop << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
-// The hypercube pass is exact for every j != i and only over-conservative
-// in the self echo key_i + 2 * per_hop (a valid, smaller bound): relax ==
-// min(brute, key_i + 2 * per_hop) exactly.
-TEST(Lookahead, RelaxHypercubeIsBruteForceModuloSelfEcho) {
-  for (std::int32_t n : {1, 2, 4, 8, 16, 64}) {
-    Topology topo(TopologyKind::kHypercube, n);
-    for (Instr per_hop : {Instr{0}, Instr{1}, Instr{3}}) {
-      HorizonMap hmap(&topo, per_hop);
-      std::vector<Instr> keys(static_cast<std::size_t>(n)), got;
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        keys[i] = key_at(static_cast<std::uint64_t>(n) * 977 + per_hop, i);
-      }
-      hmap.relax(keys, &got);
-      ASSERT_EQ(got.size(), keys.size());
-      for (std::int32_t i = 0; i < n; ++i) {
-        Instr brute = HorizonMap::brute_force(topo, per_hop, keys, i);
-        // The self echo key_i + 2 * per_hop needs a neighbour to bounce off;
-        // a 0-cube has none, and the exact answer (inf) comes out instead.
-        Instr echo = n > 1
-                         ? sat_add(keys[static_cast<std::size_t>(i)], 2 * per_hop)
-                         : kInstrInf;
-        EXPECT_EQ(got[static_cast<std::size_t>(i)], std::min(brute, echo))
-            << "n=" << n << " per_hop=" << per_hop << " i=" << i;
-        EXPECT_LE(got[static_cast<std::size_t>(i)], brute);
-      }
-    }
-  }
-}
-
-TEST(Lookahead, RelaxAllIdleOrSingletonIsInf) {
-  Topology topo(TopologyKind::kTorus2D, 16);
-  HorizonMap hmap(&topo, 1);
-  std::vector<Instr> keys(16, kInstrInf), got;
-  hmap.relax(keys, &got);
-  for (Instr v : got) EXPECT_EQ(v, kInstrInf);
-
-  // One busy node: every *other* node is bounded by it, the busy node
-  // itself sees only idle peers and gets inf — the isolated-hot-node case
-  // that lets a lone busy node drain in a single window.
-  keys[5] = 1000;
-  hmap.relax(keys, &got);
-  EXPECT_EQ(got[5], kInstrInf);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (i == 5) continue;
-    EXPECT_EQ(got[i], 1000 + 1 * static_cast<Instr>(topo.hops(5,
-                              static_cast<NodeId>(i))));
-  }
-
-  Topology one(TopologyKind::kRing, 1);
-  HorizonMap hone(&one, 1);
-  std::vector<Instr> k1{123};
-  hone.relax(k1, &got);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], kInstrInf);
 }
 
 // -------------------------------------------------------- ShardBalancer ---
@@ -195,7 +65,7 @@ TEST(ShardBalance, RebalanceIsDeterministicAndConsumesQuanta) {
     for (int round = 0; round < 6; ++round) {
       std::vector<std::uint64_t> q(16);
       for (std::size_t i = 0; i < q.size(); ++i) {
-        q[i] = key_at(salt + round, i, /*allow_inf=*/false) & 31;
+        q[i] = key_at(salt + round, i) & 31;
       }
       bal.rebalance(q.data());
       for (std::uint64_t v : q) EXPECT_EQ(v, 0u);  // consumed
@@ -232,7 +102,7 @@ TEST(ShardBalance, SteadyLoadConverges) {
   sim::ShardBalancer bal(32, 8, 3);
   std::vector<std::uint64_t> base(32);
   for (std::size_t i = 0; i < base.size(); ++i) {
-    base[i] = key_at(11, i, /*allow_inf=*/false) & 63;
+    base[i] = key_at(11, i) & 63;
   }
   int moves = -1;
   for (int round = 0; round < 12; ++round) {
@@ -244,7 +114,7 @@ TEST(ShardBalance, SteadyLoadConverges) {
   EXPECT_EQ(moves, 0);
 }
 
-// ------------------------------------ ParallelMachine derived policies ----
+// ------------------------------------------ ParallelMachine window policy ---
 
 struct PolicyFp {
   std::int64_t solutions = 0;
@@ -290,78 +160,108 @@ PolicyFp run_policy(int host_threads, sim::ParallelMachine** pm_out = nullptr,
   return fp;
 }
 
-TEST(WindowPolicy, OneWorkerRunsFlatWindowsWithoutBalancer) {
-  const PolicyFp serial = run_policy(-1);
-  EXPECT_EQ(serial.solutions, 4);  // 6-queens
-  sim::ParallelMachine* pm = nullptr;
-  EXPECT_EQ(run_policy(1, &pm), serial);
-  ASSERT_NE(pm, nullptr);
-  EXPECT_FALSE(pm->distance_horizons());
-  EXPECT_FALSE(pm->balanced_shards());
-  EXPECT_GT(pm->windows_run(), 0u);
-  EXPECT_GT(pm->occupancy_sum(), 0u);
-  EXPECT_EQ(pm->rebalances(), 0u);
-  EXPECT_EQ(pm->shard_moves(), 0u);
-}
-
-TEST(WindowPolicy, SeveralWorkersRunDistanceHorizonsAndBalancer) {
-  const PolicyFp serial = run_policy(-1);
-  sim::ParallelMachine* pm = nullptr;
-  run_policy(1, &pm);
-  ASSERT_NE(pm, nullptr);
-  const std::uint64_t flat_windows = pm->windows_run();
-  for (int t : {2, 8}) {
-    EXPECT_EQ(run_policy(t, &pm), serial) << "threads=" << t;
+// One window policy at every width: the window counters are functions of
+// simulated state alone, so 2 and 8 workers run exactly the 1-worker
+// windows — fault injection included. Only the shard map differs: static
+// at one worker, balanced above.
+TEST(WindowPolicy, EveryWidthRunsTheSameWindows) {
+  for (bool faults : {false, true}) {
+    SCOPED_TRACE(faults ? "faults" : "fault-free");
+    const PolicyFp serial = run_policy(-1, nullptr, faults);
+    EXPECT_EQ(serial.solutions, 4);  // 6-queens
+    sim::ParallelMachine* pm = nullptr;
+    EXPECT_EQ(run_policy(1, &pm, faults), serial);
     ASSERT_NE(pm, nullptr);
-    EXPECT_TRUE(pm->distance_horizons()) << "threads=" << t;
-    EXPECT_TRUE(pm->balanced_shards()) << "threads=" << t;
-    // Per-node horizons are >= the flat bound, so a window commits at least
-    // as many quanta — the policy can only remove barriers, never add them.
-    EXPECT_LE(pm->windows_run(), flat_windows) << "threads=" << t;
+    EXPECT_FALSE(pm->balanced_shards());
+    EXPECT_EQ(pm->rebalances(), 0u);
+    EXPECT_EQ(pm->shard_moves(), 0u);
+    const std::uint64_t windows = pm->windows_run();
+    const std::uint64_t occupancy = pm->occupancy_sum();
     // Occupancy counts node-window incidences: at most every node per window.
-    EXPECT_GT(pm->occupancy_sum(), 0u);
-    EXPECT_LE(pm->occupancy_sum(), pm->windows_run() * 16);
-    EXPECT_GT(pm->rebalances(), 0u) << "threads=" << t;
+    EXPECT_GT(occupancy, 0u);
+    EXPECT_LE(occupancy, windows * 16);
+    for (int t : {2, 8}) {
+      EXPECT_EQ(run_policy(t, &pm, faults), serial) << "threads=" << t;
+      ASSERT_NE(pm, nullptr);
+      EXPECT_EQ(pm->windows_run(), windows) << "threads=" << t;
+      EXPECT_EQ(pm->occupancy_sum(), occupancy) << "threads=" << t;
+      EXPECT_TRUE(pm->balanced_shards()) << "threads=" << t;
+      if (!faults) {
+        EXPECT_GT(pm->rebalances(), 0u) << "threads=" << t;
+      }
+    }
   }
 }
 
-TEST(WindowPolicy, FaultInjectionKeepsFlatWindows) {
-  // A conservative fallback, not a proven unsoundness: every fault-layer
-  // copy still arrives at >= send time + the priced latency (net/fault.hpp),
-  // but the distance bound was only ever validated fault-free. The shard
-  // policy still follows the worker count.
-  const PolicyFp serial = run_policy(-1, nullptr, /*faults=*/true);
-  sim::ParallelMachine* pm = nullptr;
-  EXPECT_EQ(run_policy(2, &pm, /*faults=*/true), serial);
-  ASSERT_NE(pm, nullptr);
-  EXPECT_FALSE(pm->distance_horizons());
-  EXPECT_TRUE(pm->balanced_shards());
-}
-
-// Never runnable, never woken: enough to construct a driver.
-class IdleNode final : public sim::NodeExec {
- public:
-  explicit IdleNode(sim::NodeId id) : id_(id) {}
-  sim::NodeId node_id() const override { return id_; }
-  Instr clock() const override { return 0; }
-  bool runnable() const override { return false; }
-  Instr next_wake() const override { return sim::kInstrInf; }
-  void advance_clock(Instr) override {}
-  void step() override {}
-
- private:
-  sim::NodeId id_;
+// Self-chaining actors, one per node, in lockstep except that odd nodes
+// trail by `lag` instructions, with min_packet_latency() <= lag <
+// lookahead(). A window sized by the wire floor alone would leave the odd
+// nodes for a second window every generation; counting the sender's
+// send_setup keeps both halves in one, so every window runs every node once.
+struct LagState {
+  std::uint64_t steps = 0;
 };
 
-TEST(WindowPolicy, NullNetworkKeepsFlatWindows) {
-  // Distance bounds need the network's topology and cost model.
-  std::vector<IdleNode> nodes{IdleNode(0), IdleNode(1), IdleNode(2)};
-  std::vector<sim::NodeExec*> execs;
-  for (IdleNode& n : nodes) execs.push_back(&n);
-  sim::ParallelMachine pm(std::move(execs), /*net=*/nullptr, 2);
-  EXPECT_FALSE(pm.distance_horizons());
-  EXPECT_TRUE(pm.balanced_shards());
-  EXPECT_EQ(pm.run().quanta, 0u);
+TEST(WindowPolicy, LookaheadCountsTheSendersSetup) {
+  constexpr int kNodes = 16;
+  constexpr Word kFuel = 24;
+  core::Program prog;
+  PatternId kick = prog.patterns().intern("lag.kick", 2);  // fuel, lag
+  ClassDef<LagState> def(prog, "Lag");
+  struct KickFrame : Frame {
+    Word fuel = 0;
+    Word lag = 0;
+    PatternId pat = 0;
+    static void init(KickFrame& f, const Msg& m) {
+      f.fuel = m.at(0);
+      f.lag = m.at(1);
+      f.pat = m.pattern;
+    }
+    static Status run(Ctx& ctx, LagState& self, KickFrame& f) {
+      ABCL_BEGIN(f);
+      self.steps += 1;
+      ctx.charge(200 + f.lag);  // the lag is only nonzero on the first step
+      if (f.fuel > 0) {
+        Word args[2] = {f.fuel - 1, 0};
+        ctx.send_past(ctx.self_addr(), f.pat, args, 2);
+      }
+      ABCL_END();
+    }
+  };
+  def.method<KickFrame>(kick);
+  prog.finalize();
+
+  std::uint64_t serial_quanta = 0;
+  for (int t : {-1, 1, 2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(t));
+    WorldConfig cfg;
+    cfg.with_nodes(kNodes);
+    cfg.with_host_threads(t);
+    World world(prog, cfg);
+    const net::Network& net = world.network();
+    const Instr floor = net.min_packet_latency();
+    const Instr send_setup = net.cost_model().send_setup;
+    ASSERT_EQ(net.lookahead(), floor + send_setup);
+    const Instr lag = floor + send_setup / 2;
+    ASSERT_LT(lag, net.lookahead());
+    for (int node = 0; node < kNodes; ++node) {
+      world.boot(node, [&](Ctx& ctx) {
+        MailAddr a = ctx.create_local(def.info(), {});
+        ctx.send_past(a, kick, {kFuel, node % 2 == 1 ? lag : Word{0}});
+      });
+    }
+    const RunReport rep = world.run();
+    auto* pm = dynamic_cast<sim::ParallelMachine*>(&world.machine());
+    if (pm == nullptr) {
+      serial_quanta = rep.quanta;
+      continue;
+    }
+    EXPECT_EQ(rep.quanta, serial_quanta);
+    ASSERT_EQ(rep.quanta % kNodes, 0u);
+    EXPECT_GE(rep.quanta, static_cast<std::uint64_t>(kNodes) * kFuel);
+    EXPECT_EQ(pm->windows_run(), rep.quanta / kNodes);
+    EXPECT_EQ(pm->occupancy_sum(), rep.quanta);
+  }
 }
 
 TEST(WindowPolicy, DriverMetricsJsonSnapshotsTheCounters) {
@@ -372,7 +272,6 @@ TEST(WindowPolicy, DriverMetricsJsonSnapshotsTheCounters) {
   std::string err;
   auto doc = obs::parse_json(js, &err);
   ASSERT_TRUE(doc.has_value()) << err;
-  EXPECT_TRUE(doc->find("distance_horizons")->boolean);
   EXPECT_TRUE(doc->find("balanced_shards")->boolean);
   EXPECT_EQ(static_cast<std::uint64_t>(doc->find("windows_run")->integer),
             pm->windows_run());
