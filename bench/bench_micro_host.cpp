@@ -16,6 +16,7 @@
 #include "util/arena.hpp"
 #include "util/intrusive_list.hpp"
 #include "util/slab.hpp"
+#include "util/sorted_queue.hpp"
 
 namespace {
 
@@ -127,9 +128,6 @@ struct QEntry {
   sim::Instr key;
   std::int32_t id;
 };
-struct QKey {
-  sim::Instr operator()(const QEntry& e) const { return e.key; }
-};
 struct QLess {
   bool operator()(const QEntry& a, const QEntry& b) const {
     return a.key != b.key ? a.key < b.key : a.id < b.id;
@@ -137,9 +135,9 @@ struct QLess {
 };
 
 // Standing-depth push/pop ping-pong: pop the min, reinsert it a pseudo-random
-// small stride later — the drifting-time-front shape both the machine's ready
-// set and the per-destination arrival queues produce. state.range(0) = depth.
-// Q is any min-first queue of QEntry with push/top/pop.
+// small stride later — the machine's ready set, which re-pushes a node
+// anywhere among up to P entries. state.range(0) = depth. Q is any
+// min-first queue of QEntry with push/top/pop.
 template <class Q>
 void queue_push_pop(benchmark::State& state) {
   const auto depth = static_cast<int>(state.range(0));
@@ -165,21 +163,17 @@ void queue_push_pop(benchmark::State& state) {
   }
 }
 
-void BM_BucketQueuePushPop(benchmark::State& state) {
-  queue_push_pop<util::BucketQueue<QEntry, QKey, QLess>>(state);
-}
-BENCHMARK(BM_BucketQueuePushPop)->Arg(16)->Arg(256)->Arg(4096);
-
-// The binary-heap baseline: std::priority_queue pops the max, so invert.
+// std::priority_queue pops the max, so invert.
 struct QGreater {
   bool operator()(const QEntry& a, const QEntry& b) const {
     return QLess{}(b, a);
   }
 };
+using BinaryHeap = std::priority_queue<QEntry, std::vector<QEntry>, QGreater>;
+using SortedRun = util::SortedQueue<QEntry, QLess>;
 
 void BM_BinaryHeapPushPop(benchmark::State& state) {
-  queue_push_pop<std::priority_queue<QEntry, std::vector<QEntry>, QGreater>>(
-      state);
+  queue_push_pop<BinaryHeap>(state);
 }
 BENCHMARK(BM_BinaryHeapPushPop)->Arg(16)->Arg(256)->Arg(4096);
 
@@ -219,16 +213,51 @@ void queue_shallow_sparse(benchmark::State& state) {
   state.SetItemsProcessed(items);
 }
 
-void BM_BucketQueueShallowSparse(benchmark::State& state) {
-  queue_shallow_sparse<util::BucketQueue<QEntry, QKey, QLess>>(state);
+void BM_SortedQueueShallowSparse(benchmark::State& state) {
+  queue_shallow_sparse<SortedRun>(state);
 }
-BENCHMARK(BM_BucketQueueShallowSparse)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_SortedQueueShallowSparse)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_BinaryHeapShallowSparse(benchmark::State& state) {
-  queue_shallow_sparse<
-      std::priority_queue<QEntry, std::vector<QEntry>, QGreater>>(state);
+  queue_shallow_sparse<BinaryHeap>(state);
 }
 BENCHMARK(BM_BinaryHeapShallowSparse)->Arg(1)->Arg(2)->Arg(3);
+
+// Deep delivery queue under reorder delays: state.range(0) packets stay
+// queued, keys 8 apart; each iteration pops the earliest and pushes one
+// that lands about 7 entries before the tail, the insert distance measured
+// on recovery_faults' deep queues.
+template <class Q>
+void queue_deep_near_tail(benchmark::State& state) {
+  const auto depth = static_cast<int>(state.range(0));
+  Q q;
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  sim::Instr t = 64;
+  std::int32_t id = 0;
+  for (int i = 0; i < depth; ++i) q.push({t += 8, id++});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(q.top());
+    q.pop();
+    t += 8;
+    q.push({t - 56 - static_cast<sim::Instr>(next() % 8), id++});
+  }
+}
+
+void BM_SortedQueueDeepNearTail(benchmark::State& state) {
+  queue_deep_near_tail<SortedRun>(state);
+}
+BENCHMARK(BM_SortedQueueDeepNearTail)->Arg(1000);
+
+void BM_BinaryHeapDeepNearTail(benchmark::State& state) {
+  queue_deep_near_tail<BinaryHeap>(state);
+}
+BENCHMARK(BM_BinaryHeapDeepNearTail)->Arg(1000);
 
 // ---- barrier flush ----------------------------------------------------------
 

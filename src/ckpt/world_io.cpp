@@ -198,22 +198,14 @@ struct WorldIo {
     for (std::uint64_t s : n.src_seq_) w.u64(s);
     save_channel_words(w, n.use_matrix_, n.channel_matrix_, n.channel_map_);
 
-    // Per-destination queues in canonical (arrive, src, seq) order. The
-    // 24-byte queue entries are reconstructed from the packets themselves
-    // (enqueue stamps arrive_time into the slot).
-    std::vector<net::Network::QueuedPacket> entries;
+    // Per-destination queues in canonical (arrive, src, seq) order, which
+    // is the queue's own iteration order. The 24-byte queue entries are
+    // reconstructed from the packets themselves (enqueue stamps
+    // arrive_time into the slot).
     for (const auto& q : n.queues_) {
-      entries.clear();
-      q.for_each([&entries](const net::Network::QueuedPacket& e) {
-        entries.push_back(e);
-      });
-      std::sort(entries.begin(), entries.end(),
-                [](const net::Network::QueuedPacket& a,
-                   const net::Network::QueuedPacket& b) {
-                  return net::Network::PacketOrder{}(a, b);
-                });
-      w.u64(entries.size());
-      for (const net::Network::QueuedPacket& e : entries) w.raw(*e.slot);
+      w.u64(q.size());
+      q.for_each(
+          [&w](const net::Network::QueuedPacket& e) { w.raw(*e.slot); });
     }
 
     if (n.fault_plan_ != nullptr) {
@@ -255,6 +247,8 @@ struct WorldIo {
     for (std::uint64_t& s : n.src_seq_) s = r.u64();
     load_channel_words(r, n.use_matrix_, n.channel_matrix_, n.channel_map_);
 
+    // Packets come back in canonical order, so every push lands at the
+    // queue's tail.
     for (std::size_t dst = 0; dst < n.queues_.size(); ++dst) {
       std::uint64_t count = r.u64();
       for (std::uint64_t i = 0; i < count; ++i) {

@@ -46,8 +46,6 @@ Network::Network(Topology topology, const sim::CostModel* cm,
       flush_touched_mark_(static_cast<std::size_t>(topology_.num_nodes()), 0),
       poll_mags_(static_cast<std::size_t>(topology_.num_nodes()), nullptr) {
   ABCL_CHECK(cm_ != nullptr);
-  ABCL_CHECK_MSG(cm_->wire_latency + cm_->per_hop > 0,
-                 "network lookahead must be positive for the PDES driver");
   const sim::Instr wire_floor =
       cm_->wire_latency + static_cast<sim::Instr>(kMinWireWords) * cm_->per_word;
   min_latency_ = wire_floor == 0 ? 1 : wire_floor;

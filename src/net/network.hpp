@@ -35,9 +35,10 @@
 // effective key only falls as packets accumulate, so the post-flush key
 // equals the min over per-packet observations.
 //
-// Buffer management: in-flight packets live in PacketPool slots; the
-// destination heaps order 24-byte references by (arrive_time, src, seq),
-// so heap sifts stop copying whole payloads. Commits acquire slots through
+// Buffer management: in-flight packets live in PacketPool slots; each
+// destination queue is a sorted run (util::SortedQueue) of 24-byte
+// references ordered by (arrive_time, src, seq), so inserts shift
+// references rather than whole payloads. Commits acquire slots through
 // the coordinator-owned home magazine; polls release them through the
 // magazine installed for the destination (set_poll_magazine — the parallel
 // driver installs one per worker; serial runs fall back to the home
@@ -57,7 +58,7 @@
 #include "net/packet_pool.hpp"
 #include "net/topology.hpp"
 #include "sim/cost_model.hpp"
-#include "util/bucket_queue.hpp"
+#include "util/sorted_queue.hpp"
 #include "util/stats.hpp"
 
 namespace abcl::ckpt {
@@ -144,7 +145,7 @@ class Network {
 
   // Pops the next packet for `dst` with arrive_time <= now, or nullptr-like
   // false if none. Out-of-order across channels never happens because the
-  // per-destination heap orders by arrival. With a fault plan installed,
+  // per-destination queue orders by arrival. With a fault plan installed,
   // `*was_dup` (when non-null) reports whether the popped copy is a
   // duplicate the receiver must discard — the caller still pays its handler
   // cost but must not dispatch it. Always false when faults are off.
@@ -222,16 +223,13 @@ class Network {
   friend struct abcl::ckpt::WorldIo;
 
   // Destination-queue entry: the simulated delivery key plus the pooled
-  // slot holding the payload. Moving 24 bytes instead of sizeof(Packet)
+  // slot holding the payload. Shifting 24 bytes instead of sizeof(Packet)
   // is most of the pooled send/poll win at depth.
   struct QueuedPacket {
     sim::Instr arrive;
     std::int32_t src;
     std::uint64_t seq;
     Packet* slot;
-  };
-  struct PacketKey {
-    sim::Instr operator()(const QueuedPacket& q) const { return q.arrive; }
   };
   // Delivery order: ascending (arrive, src, seq) — a strict total order
   // (seqs are unique per src), so the pop order is fully determined.
@@ -242,7 +240,7 @@ class Network {
       return a.seq < b.seq;
     }
   };
-  using DstQueue = util::BucketQueue<QueuedPacket, PacketKey, PacketOrder>;
+  using DstQueue = util::SortedQueue<QueuedPacket, PacketOrder>;
 
   sim::Instr& channel_floor(NodeId src, NodeId dst);
   std::uint64_t& link_seq(NodeId src, NodeId dst);

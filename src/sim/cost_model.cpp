@@ -28,7 +28,7 @@ CostModel CostModel::zero() {
   m.chunk_replenish = 0;
   m.send_setup = 0;
   m.recv_handler = 0;
-  m.wire_latency = 1;  // must stay > 0: the PDES driver's lookahead
+  m.wire_latency = 1;  // the 1-instr floor every priced latency clamps to
   m.per_hop = 0;
   m.per_word = 0;
   return m;

@@ -14,10 +14,10 @@
 #pragma once
 
 #include <cstdint>
+#include <queue>
 #include <vector>
 
 #include "sim/time.hpp"
-#include "util/bucket_queue.hpp"
 
 namespace abcl::sim {
 
@@ -97,14 +97,13 @@ class Machine : public Driver {
     Instr key;
     NodeId node;
   };
-  struct EntryKey {
-    Instr operator()(const HeapEntry& e) const { return e.key; }
-  };
-  // Ascending (key, node) — the serial execution order. A strict total
-  // order: push_node never inserts the same (key, node) twice.
-  struct EntryLess {
+  // std::priority_queue pops its greatest entry, so "greater" here means
+  // "runs later": the heap pops ascending (key, node), the serial
+  // execution order. Entries that tie on both are identical (a stale
+  // duplicate of a re-pushed node), so the pop order is fully determined.
+  struct RunsLater {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      return a.key != b.key ? a.key < b.key : a.node < b.node;
+      return a.key != b.key ? a.key > b.key : a.node > b.node;
     }
   };
 
@@ -114,7 +113,7 @@ class Machine : public Driver {
 
   // best key currently present in the queue per node; kInstrInf = absent.
   std::vector<Instr> heap_key_;
-  util::BucketQueue<HeapEntry, EntryKey, EntryLess> heap_;
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>, RunsLater> heap_;
   std::uint64_t quanta_ = 0;
 };
 

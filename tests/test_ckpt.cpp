@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 
 #include "abcl/machine_api.hpp"
@@ -611,31 +612,20 @@ bool dedup_has_spill(const net::Network& net) {
   return false;
 }
 
-TEST(CkptWorld, DedupRowsWithGapsAndSpillsRoundTrip) {
-  // Long reorder delays let 64+ later packets of a channel overtake a
-  // delayed one, so its successors spill; an early boundary catches rows
-  // that have heard from some sources but not from those in between.
-  core::Program prog;
-  const apps::NQueensProgram np = apps::register_nqueens(prog);
-  prog.finalize();
+// Boots paper-calibrated N-queens(8) on a 4-node world with random
+// placement under `fc`, checkpointing at the config's boundary.
+std::unique_ptr<World> boot_nqueens8(core::Program& prog,
+                                     const apps::NQueensProgram& np,
+                                     const net::FaultConfig& fc,
+                                     sim::Instr step, MailAddr& latch) {
   const apps::NQueensParams qp = apps::NQueensParams::paper_calibrated(8);
-  net::FaultConfig fc;
-  fc.enabled = true;
-  fc.drop_ppm = 50'000;
-  fc.dup_ppm = 20'000;
-  fc.delay_ppm = 300'000;
-  fc.delay_max = 1'000'000;
-  fc.seed = 3;
-  const sim::Instr step = 2'000;
   WorldConfig cfg;
   cfg.with_nodes(4)
       .with_seed(11)
       .with_placement(remote::PlacementKind::kRandom)
       .with_faults(fc)
       .with_ckpt(at_config(step));
-
   auto world = std::make_unique<World>(prog, cfg);
-  MailAddr latch;
   world->boot(0, [&](Ctx& ctx) {
     latch = ctx.create_local(*np.latch.cls, {});
     ctx.send_past(latch, np.latch.expect, {1});
@@ -648,6 +638,53 @@ TEST(CkptWorld, DedupRowsWithGapsAndSpillsRoundTrip) {
     MailAddr root = ctx.create_local(*np.node_cls, args, 9);
     ctx.send_past(root, np.go, nullptr, 0);
   });
+  return world;
+}
+
+// Finishes `world` from its snapshot `snap`, then restores the snapshot
+// into a fresh world (and hands its network to `check_restored`):
+// recapturing it must give the same bytes, and replaying it must end
+// exactly where the uninterrupted run did.
+void expect_restore_roundtrips(
+    std::unique_ptr<World> world, core::Program& prog,
+    const ckpt::MemSink& snap, MailAddr latch,
+    const std::function<void(const net::Network&)>& check_restored = {}) {
+  RunReport end = world->run();
+  ASSERT_EQ(end.stop_reason, StopReason::kQuiesced);
+  const std::string metrics = obs::metrics_json(*world);
+  EXPECT_EQ(latch_state(latch).total, 92);  // 8-queens solutions
+  world.reset();  // restore re-maps the arenas at their recorded bases
+
+  ckpt::MemSource src(snap.bytes());
+  std::unique_ptr<World> restored = World::restore(prog, src);
+  if (check_restored) check_restored(restored->network());
+  ckpt::MemSink again;
+  restored->checkpoint(again);
+  EXPECT_EQ(again.bytes().size(), snap.bytes().size());
+  EXPECT_EQ(again.bytes(), snap.bytes());
+  RunReport replay = restored->run();
+  EXPECT_EQ(replay.stop_reason, StopReason::kQuiesced);
+  EXPECT_EQ(replay.sim_time, end.sim_time);
+  EXPECT_EQ(obs::metrics_json(*restored), metrics);
+}
+
+TEST(CkptWorld, DedupRowsWithGapsAndSpillsRoundTrip) {
+  // Long reorder delays let 64+ later packets of a channel overtake a
+  // delayed one, so its successors spill; an early boundary catches rows
+  // that have heard from some sources but not from those in between.
+  core::Program prog;
+  const apps::NQueensProgram np = apps::register_nqueens(prog);
+  prog.finalize();
+  net::FaultConfig fc;
+  fc.enabled = true;
+  fc.drop_ppm = 50'000;
+  fc.dup_ppm = 20'000;
+  fc.delay_ppm = 300'000;
+  fc.delay_max = 1'000'000;
+  fc.seed = 3;
+  const sim::Instr step = 2'000;
+  MailAddr latch;
+  std::unique_ptr<World> world = boot_nqueens8(prog, np, fc, step, latch);
 
   ckpt::MemSink snap;
   for (sim::Instr at = step;; at += step) {
@@ -659,24 +696,47 @@ TEST(CkptWorld, DedupRowsWithGapsAndSpillsRoundTrip) {
       break;
     }
   }
-  RunReport end = world->run();
-  ASSERT_EQ(end.stop_reason, StopReason::kQuiesced);
-  const std::string metrics = obs::metrics_json(*world);
-  EXPECT_EQ(latch_state(latch).total, 92);  // 8-queens solutions
-  world.reset();  // restore re-maps the arenas at their recorded bases
+  expect_restore_roundtrips(std::move(world), prog, snap, latch,
+                            [](const net::Network& net) {
+                              EXPECT_TRUE(dedup_has_gap(net));
+                              EXPECT_TRUE(dedup_has_spill(net));
+                            });
+}
 
-  ckpt::MemSource src(snap.bytes());
-  std::unique_ptr<World> restored = World::restore(prog, src);
-  EXPECT_TRUE(dedup_has_gap(restored->network()));
-  EXPECT_TRUE(dedup_has_spill(restored->network()));
-  ckpt::MemSink again;
-  restored->checkpoint(again);
-  EXPECT_EQ(again.bytes().size(), snap.bytes().size());
-  EXPECT_EQ(again.bytes(), snap.bytes());
-  RunReport replay = restored->run();
-  EXPECT_EQ(replay.stop_reason, StopReason::kQuiesced);
-  EXPECT_EQ(replay.sim_time, end.sim_time);
-  EXPECT_EQ(obs::metrics_json(*restored), metrics);
+// Destination queues are written in their own iteration order. Heavy
+// reorder delays push most deliveries into the middle of deep queues, and
+// a boundary mid-run leaves them partly popped; their snapshot must still
+// be canonical (restore, recapture, same bytes).
+TEST(CkptWorld, DelayedDeliveryQueuesRoundTrip) {
+  core::Program prog;
+  const apps::NQueensProgram np = apps::register_nqueens(prog);
+  prog.finalize();
+  net::FaultConfig fc;
+  fc.enabled = true;
+  fc.delay_ppm = 500'000;
+  fc.delay_max = 4'096;
+  fc.seed = 23;
+  const sim::Instr step = 2'000;
+  const std::size_t kDeepQueue = 32;
+  MailAddr latch;
+  std::unique_ptr<World> world = boot_nqueens8(prog, np, fc, step, latch);
+
+  ckpt::MemSink snap;
+  for (sim::Instr at = step;; at += step) {
+    RunReport r = world->run(at);
+    ASSERT_NE(r.stop_reason, StopReason::kQuiesced)
+        << "no boundary had a deep delivery queue";
+    std::size_t deepest = 0;
+    for (NodeId d = 0; d < 4; ++d) {
+      deepest = std::max(deepest, world->network().pending(d));
+    }
+    if (deepest >= kDeepQueue) {
+      world->checkpoint(snap);
+      break;
+    }
+  }
+  EXPECT_GT(world->network().fault_stats().delays, 0u);
+  expect_restore_roundtrips(std::move(world), prog, snap, latch);
 }
 
 // The corpus gates. Every seed: uninterrupted serial baseline vs

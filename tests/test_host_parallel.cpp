@@ -78,13 +78,15 @@ void capture(World& world, const sim::Tracer& tracer, Fingerprint& fp) {
   fp.chrome_json = obs::chrome_trace_json(tracer);
 }
 
-Fingerprint run_nqueens_fp(int host_threads, int nodes, int n) {
+Fingerprint run_nqueens_fp(int host_threads, int nodes, int n,
+                           const sim::CostModel& cost = sim::CostModel::ap1000()) {
   core::Program prog;
   auto np = apps::register_nqueens(prog);
   prog.finalize();
   WorldConfig cfg;
   cfg.with_nodes(nodes);
   cfg.with_host_threads(host_threads);
+  cfg.with_cost(cost);
   World world(prog, cfg);
   sim::Tracer tracer(1u << 20);
   world.attach_tracer(&tracer);
@@ -285,6 +287,23 @@ TEST(SieveCrossDriver, BitIdenticalAtEveryThreadCount) {
   }
 }
 
+// A free wire (wire_latency = per_hop = per_word = 0) prices every packet
+// at the 1-instruction floor, so the parallel driver runs on the smallest
+// lookahead the cost model allows: 1 + send_setup.
+TEST(ZeroWireCrossDriver, BitIdenticalAtOneAndTwoWorkers) {
+  sim::CostModel cost = sim::CostModel::ap1000();
+  cost.wire_latency = 0;
+  cost.per_hop = 0;
+  cost.per_word = 0;
+  Fingerprint serial = run_nqueens_fp(kSerial, 16, 6, cost);
+  EXPECT_EQ(serial.value, 4);  // 6-queens has 4 solutions
+  EXPECT_EQ(serial.lat_min, 1.0);
+  EXPECT_EQ(serial.lat_max, 1.0);
+  for (int t : {1, 2}) {
+    expect_identical(serial, run_nqueens_fp(t, 16, 6, cost), t);
+  }
+}
+
 TEST(PingPongCrossDriver, BitIdenticalAtEveryThreadCount) {
   Fingerprint serial = run_pingpong_fp(kSerial, 4, 500);
   for (int t : kThreadCounts) {
@@ -292,10 +311,8 @@ TEST(PingPongCrossDriver, BitIdenticalAtEveryThreadCount) {
   }
 }
 
-// The commit-path (merge vs sort) and time-queue (bucket vs heap) ablations
-// must be pure host-side strategies: every observable — metrics_json
-// byte-for-byte, the order-sensitive trace fingerprint, counters — must
-// match the default configuration on the whole committed fuzz corpus.
+// Every observable of a fuzz-corpus run — metrics_json byte-for-byte, the
+// order-sensitive trace fingerprint, counters — must match between drivers.
 void expect_run_identical(const fuzz::RunResult& base,
                           const fuzz::RunResult& alt, const char* what) {
   SCOPED_TRACE(what);

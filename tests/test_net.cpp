@@ -211,10 +211,9 @@ TEST(Network, LookaheadIsWireFloorPlusSendSetup) {
   sim::CostModel zero = sim::CostModel::zero();
   EXPECT_EQ(make_net(16, &zero).lookahead(), 1u);
 
-  // Free wire + free words (per-hop-only pricing, which still satisfies the
-  // wire_latency + per_hop > 0 invariant): the wire floor clamps up to 1,
-  // as the commit path clamps a zero priced latency, and send_setup adds
-  // on top.
+  // Free wire + free words (per-hop-only pricing): the wire floor clamps
+  // up to 1, as the commit path clamps a zero priced latency, and
+  // send_setup adds on top.
   sim::CostModel free_wire = sim::CostModel::zero();
   free_wire.wire_latency = 0;
   free_wire.per_word = 0;
@@ -223,6 +222,21 @@ TEST(Network, LookaheadIsWireFloorPlusSendSetup) {
   auto net0 = make_net(16, &free_wire);
   EXPECT_EQ(net0.min_packet_latency(), 1u);
   EXPECT_EQ(net0.lookahead(), 1u + 7);
+
+  // An all-zero wire model is valid too: every priced latency clamps to 1,
+  // so the lookahead is 1 + send_setup and a 0-hop self-send still takes
+  // one instruction.
+  sim::CostModel no_wire = sim::CostModel::ap1000();
+  no_wire.wire_latency = 0;
+  no_wire.per_hop = 0;
+  no_wire.per_word = 0;
+  auto net1 = make_net(16, &no_wire);
+  EXPECT_EQ(net1.min_packet_latency(), 1u);
+  EXPECT_EQ(net1.lookahead(), 1u + no_wire.send_setup);
+  net1.send(make_pkt(3, 3, 50), net::AmCategory::kObjectMessage);
+  Packet out;
+  ASSERT_TRUE(net1.poll(3, sim::kInstrInf, out));
+  EXPECT_EQ(out.arrive_time, 51u);
 }
 
 TEST(Network, InFlightCountsAndStats) {

@@ -10,10 +10,10 @@
 #include <vector>
 
 #include "util/arena.hpp"
-#include "util/bucket_queue.hpp"
 #include "util/intrusive_list.hpp"
 #include "util/rng.hpp"
 #include "util/slab.hpp"
+#include "util/sorted_queue.hpp"
 #include "util/spec_parser.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -514,36 +514,33 @@ TEST(Table, NumGroupsThousands) {
   EXPECT_EQ(Table::num(2.345, 2), "2.35");
 }
 
-// --------------------------------------------------------- BucketQueue ----
+// --------------------------------------------------------- SortedQueue ----
 
 constexpr std::uint64_t kInf = ~std::uint64_t{0};
 
-struct BqEntry {
+struct SqEntry {
   std::uint64_t key;
   std::int32_t id;
-  bool operator==(const BqEntry&) const = default;
+  bool operator==(const SqEntry&) const = default;
 };
-struct BqKey {
-  std::uint64_t operator()(const BqEntry& e) const { return e.key; }
-};
-struct BqLess {
-  bool operator()(const BqEntry& a, const BqEntry& b) const {
+struct SqLess {
+  bool operator()(const SqEntry& a, const SqEntry& b) const {
     return a.key != b.key ? a.key < b.key : a.id < b.id;
   }
 };
-using Bq = BucketQueue<BqEntry, BqKey, BqLess>;
+using Sq = SortedQueue<SqEntry, SqLess>;
 
 // Reference min-queue: std::priority_queue pops the max, so invert.
-struct BqGreater {
-  bool operator()(const BqEntry& a, const BqEntry& b) const {
-    return BqLess{}(b, a);
+struct SqGreater {
+  bool operator()(const SqEntry& a, const SqEntry& b) const {
+    return SqLess{}(b, a);
   }
 };
 using RefQueue =
-    std::priority_queue<BqEntry, std::vector<BqEntry>, BqGreater>;
+    std::priority_queue<SqEntry, std::vector<SqEntry>, SqGreater>;
 
 // Pops both queues to empty, checking they agree at every step.
-void expect_drains_identically(Bq& q, RefQueue& ref) {
+void expect_drains_identically(Sq& q, RefQueue& ref) {
   while (!ref.empty()) {
     ASSERT_EQ(q.top(), ref.top());
     q.pop();
@@ -552,42 +549,122 @@ void expect_drains_identically(Bq& q, RefQueue& ref) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(BucketQueue, PopsInKeyThenIdOrder) {
-  Bq q;
+std::vector<SqEntry> contents(const Sq& q) {
+  std::vector<SqEntry> out;
+  q.for_each([&out](const SqEntry& e) { out.push_back(e); });
+  return out;
+}
+
+TEST(SortedQueue, PopsInKeyThenIdOrder) {
+  Sq q;
   q.push({30, 1});
   q.push({10, 2});
   q.push({20, 3});
   q.push({10, 1});
   ASSERT_EQ(q.size(), 4u);
-  EXPECT_EQ(q.top(), (BqEntry{10, 1}));
+  EXPECT_EQ(q.top(), (SqEntry{10, 1}));
   q.pop();
-  EXPECT_EQ(q.top(), (BqEntry{10, 2}));
+  EXPECT_EQ(q.top(), (SqEntry{10, 2}));
   q.pop();
-  EXPECT_EQ(q.top(), (BqEntry{20, 3}));
+  EXPECT_EQ(q.top(), (SqEntry{20, 3}));
   q.pop();
-  EXPECT_EQ(q.top(), (BqEntry{30, 1}));
+  EXPECT_EQ(q.top(), (SqEntry{30, 1}));
   q.pop();
   EXPECT_TRUE(q.empty());
 }
 
-TEST(BucketQueue, TieBreakIsDeterministicAcrossInsertionOrders) {
+TEST(SortedQueue, TieBreakIsDeterministicAcrossInsertionOrders) {
   // All-equal keys must drain in id order regardless of push order.
   std::vector<std::int32_t> order = {7, 2, 9, 0, 5, 3, 8, 1, 6, 4};
-  Bq q;
+  Sq q;
   for (std::int32_t id : order) q.push({42, id});
   for (std::int32_t want = 0; want < 10; ++want) {
-    EXPECT_EQ(q.top(), (BqEntry{42, want}));
+    EXPECT_EQ(q.top(), (SqEntry{42, want}));
     q.pop();
   }
 }
 
+// Inserts at the live head (below everything pending), in the middle of
+// the run and at the tail, each after part of the run has been popped.
+TEST(SortedQueue, HeadMidAndTailInsertsAfterPops) {
+  Sq q;
+  for (std::uint64_t k = 10; k <= 100; k += 10) q.push({k, 0});
+  q.pop();
+  q.pop();  // live run: 30..100, consumed head of two
+  q.push({25, 0});   // head position
+  q.push({55, 0});   // mid-run
+  q.push({200, 0});  // tail
+  q.push({55, -1});  // same key, earlier id: before {55, 0}
+  const std::vector<SqEntry> want = {{25, 0}, {30, 0}, {40, 0}, {50, 0},
+                                     {55, -1}, {55, 0}, {60, 0}, {70, 0},
+                                     {80, 0}, {90, 0}, {100, 0}, {200, 0}};
+  EXPECT_EQ(contents(q), want);
+  for (const SqEntry& e : want) {
+    ASSERT_EQ(q.top(), e);
+    q.pop();
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+// for_each visits exactly the live entries in pop order, whatever the
+// consumed head; the checkpoint writer depends on it.
+TEST(SortedQueue, ForEachVisitsLiveEntriesInPopOrder) {
+  Xoshiro256 rng(5);
+  Sq q;
+  RefQueue ref;
+  for (std::int32_t i = 0; i < 400; ++i) {
+    SqEntry e{rng.below(1000), i};
+    q.push(e);
+    ref.push(e);
+    if (rng.below(3) == 0) {
+      q.pop();
+      ref.pop();
+    }
+    if (i % 50 == 0) {
+      RefQueue copy = ref;
+      std::vector<SqEntry> want;
+      for (; !copy.empty(); copy.pop()) want.push_back(copy.top());
+      ASSERT_EQ(contents(q), want) << "i=" << i;
+    }
+  }
+  expect_drains_identically(q, ref);
+}
+
+// Push-one/pop-one at a fixed depth never drains the queue, so the
+// consumed head only goes away by compaction when the run fills its
+// buffer. The live entries must come through every compaction intact.
+TEST(SortedQueue, ConsumedHeadCompactionKeepsOrder) {
+  for (std::size_t depth : {1u, 3u, 7u, 64u}) {
+    Sq q;
+    RefQueue ref;
+    Xoshiro256 rng(depth);
+    std::uint64_t t = 0;
+    std::int32_t next_id = 0;
+    auto push = [&](std::uint64_t k) {
+      SqEntry e{k, next_id++};
+      q.push(e);
+      ref.push(e);
+    };
+    for (std::size_t i = 0; i < depth; ++i) push(t + rng.below(16));
+    for (int step = 0; step < 5000; ++step) {
+      ASSERT_EQ(q.top(), ref.top()) << "depth " << depth << " step " << step;
+      t = q.top().key;
+      q.pop();
+      ref.pop();
+      push(t + rng.below(16));
+      ASSERT_EQ(q.size(), depth);
+    }
+    expect_drains_identically(q, ref);
+  }
+}
+
 // Interleaved random pushes/pops against std::priority_queue, across key
-// streams that exercise monotone drift, far-future jumps (overflow tier +
-// rebase) and late pushes below the active bucket.
-TEST(BucketQueue, RandomizedEquivalenceVsPriorityQueue) {
+// streams that exercise monotone drift (tail inserts), far-future jumps
+// and late pushes below everything pending (head inserts).
+TEST(SortedQueue, RandomizedEquivalenceVsPriorityQueue) {
   for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     Xoshiro256 rng(seed);
-    Bq q;
+    Sq q;
     RefQueue ref;
     std::uint64_t front = 0;  // drifting time front
     std::int32_t next_id = 0;
@@ -600,7 +677,7 @@ TEST(BucketQueue, RandomizedEquivalenceVsPriorityQueue) {
           case 1: k = front - std::min(front, rng.below(16)); break;  // late
           default: k = front + rng.below(64); break;  // monotone-ish
         }
-        BqEntry e{k, next_id++};
+        SqEntry e{k, next_id++};
         q.push(e);
         ref.push(e);
       } else {
@@ -613,14 +690,14 @@ TEST(BucketQueue, RandomizedEquivalenceVsPriorityQueue) {
     }
     expect_drains_identically(q, ref);
   }
-  // Monotone drift with 1-in-50 jumps of +2^24 into the overflow tier.
+  // Monotone drift with 1-in-50 jumps of +2^24.
   Xoshiro256 rng(99);
-  Bq q;
+  Sq q;
   RefQueue ref;
   std::uint64_t t = 0;
   for (int i = 0; i < 5000; ++i) {
     t += rng.below(32);
-    BqEntry e{rng.below(50) == 0 ? t + (1u << 24) : t,
+    SqEntry e{rng.below(50) == 0 ? t + (1u << 24) : t,
               static_cast<std::int32_t>(i)};
     q.push(e);
     ref.push(e);
@@ -633,75 +710,49 @@ TEST(BucketQueue, RandomizedEquivalenceVsPriorityQueue) {
   expect_drains_identically(q, ref);
 }
 
-TEST(BucketQueue, LatePushBelowActiveBucketStaysExact) {
-  Bq q;
-  for (std::uint64_t k = 100; k < 150; ++k) q.push({k, 0});
-  // Drain partway so the active bucket has a consumed prefix.
-  for (int i = 0; i < 20; ++i) q.pop();
-  EXPECT_EQ(q.top().key, 120u);
-  // A key below everything already popped must still surface first, and
-  // must not resurrect consumed entries.
-  q.push({5, 0});
-  EXPECT_EQ(q.top().key, 5u);
-  q.pop();
-  std::uint64_t prev = 0;
-  while (!q.empty()) {
-    EXPECT_GT(q.top().key, prev);
-    prev = q.top().key;
-    q.pop();
-  }
-  EXPECT_EQ(prev, 149u);
-}
-
-TEST(BucketQueue, InfinityKeysAndFullSpanRebase) {
-  // kInstrInf-magnitude keys plus key 0 force the widest possible rebase
-  // (span ~2^64); all arithmetic must stay overflow-safe.
-  Bq q;
+TEST(SortedQueue, InfinityKeysOrderExactly) {
+  Sq q;
   q.push({kInf, 1});
   q.push({0, 2});
   q.push({kInf - 1, 3});
   q.push({kInf, 0});
   q.push({1u << 31, 4});
-  EXPECT_EQ(q.top(), (BqEntry{0, 2}));
+  EXPECT_EQ(q.top(), (SqEntry{0, 2}));
   q.pop();
-  EXPECT_EQ(q.top(), (BqEntry{std::uint64_t{1} << 31, 4}));
+  EXPECT_EQ(q.top(), (SqEntry{std::uint64_t{1} << 31, 4}));
   q.pop();
-  EXPECT_EQ(q.top(), (BqEntry{kInf - 1, 3}));
+  EXPECT_EQ(q.top(), (SqEntry{kInf - 1, 3}));
   q.pop();
-  EXPECT_EQ(q.top(), (BqEntry{kInf, 0}));
+  EXPECT_EQ(q.top(), (SqEntry{kInf, 0}));
   q.pop();
-  EXPECT_EQ(q.top(), (BqEntry{kInf, 1}));
+  EXPECT_EQ(q.top(), (SqEntry{kInf, 1}));
   q.pop();
   EXPECT_TRUE(q.empty());
 }
 
 // Delivery-queue traffic as the network sees it: one to three packets in
-// flight, the queue draining to empty between bursts, and bursts landing
-// far beyond the ring span. Every burst re-anchors the ring, most send an
-// entry to the overflow tier, and many rebase from a single overflow
-// entry.
-TEST(BucketQueue, ShallowSparseTrafficMatchesPriorityQueue) {
+// flight, the queue draining to empty between bursts, and arrivals now and
+// then landing mid-drain, later than or just below the entry being popped.
+TEST(SortedQueue, ShallowSparseTrafficMatchesPriorityQueue) {
   for (std::uint64_t seed : {11u, 12u, 13u, 14u}) {
     Xoshiro256 rng(seed);
-    Bq q;
+    Sq q;
     RefQueue ref;
     std::uint64_t t = 0;
     std::int32_t next_id = 0;
     auto push = [&](std::uint64_t k) {
-      BqEntry e{k, next_id++};
+      SqEntry e{k, next_id++};
       q.push(e);
       ref.push(e);
     };
     for (int burst = 0; burst < 5000; ++burst) {
-      // Inter-burst gap: usually a few hundred keys, sometimes far past
-      // any ring span the queue has seen.
       t += rng.below(8) == 0 ? (std::uint64_t{1} << 20) + rng.below(1u << 30)
                              : rng.below(512);
       const int depth = 1 + static_cast<int>(rng.below(3));
       for (int i = 0; i < depth; ++i) {
         switch (rng.below(4)) {
           case 0: push(t + (std::uint64_t{1} << 32) + rng.below(1u << 20));
-            break;  // far beyond the ring: overflow tier
+            break;  // far future
           case 1: push(t); break;  // tie on the key, ordered by id
           default: push(t + rng.below(256)); break;
         }
@@ -711,8 +762,6 @@ TEST(BucketQueue, ShallowSparseTrafficMatchesPriorityQueue) {
         const std::uint64_t k = q.top().key;
         q.pop();
         ref.pop();
-        // Now and then an arrival lands mid-drain: a later key, or one
-        // below the active bucket.
         if (rng.below(8) == 0) {
           push(rng.below(2) == 0 ? k + rng.below(1u << 16)
                                  : k - std::min<std::uint64_t>(k, rng.below(8)));
@@ -725,44 +774,16 @@ TEST(BucketQueue, ShallowSparseTrafficMatchesPriorityQueue) {
   }
 }
 
-TEST(BucketQueue, RebaseFromOneOverflowEntry) {
-  // The ring holds {10}; {10 + 2^40} overflows. Draining the ring rebases
-  // from that single entry (a zero key span), and later pushes around it —
-  // inside the new ring, beyond it, and below its base — must still pop
-  // in order.
-  Bq q;
-  const std::uint64_t far = 10 + (std::uint64_t{1} << 40);
-  q.push({10, 0});
-  q.push({far, 1});
-  EXPECT_EQ(q.top(), (BqEntry{10, 0}));
-  q.pop();
-  EXPECT_EQ(q.top(), (BqEntry{far, 1}));
-  q.push({far + 1000, 2});
-  q.push({far, 0});
-  q.push({far + (std::uint64_t{1} << 30), 3});
-  q.push({far - 5, 4});  // below the active bucket
-  EXPECT_EQ(q.top(), (BqEntry{far - 5, 4}));
-  q.pop();
-  EXPECT_EQ(q.top(), (BqEntry{far, 0}));
-  q.pop();
-  EXPECT_EQ(q.top(), (BqEntry{far, 1}));
-  q.pop();
-  EXPECT_EQ(q.top(), (BqEntry{far + 1000, 2}));
-  q.pop();
-  EXPECT_EQ(q.top(), (BqEntry{far + (std::uint64_t{1} << 30), 3}));
-  q.pop();
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(BucketQueue, ClearAndReuse) {
-  Bq q;
+TEST(SortedQueue, ClearAndReuse) {
+  Sq q;
   for (std::uint64_t k = 0; k < 100; ++k) q.push({k * 1000, 0});
   q.pop();
   q.clear();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
+  EXPECT_TRUE(contents(q).empty());
   q.push({7, 1});
-  EXPECT_EQ(q.top(), (BqEntry{7, 1}));
+  EXPECT_EQ(q.top(), (SqEntry{7, 1}));
   q.pop();
   EXPECT_TRUE(q.empty());
 }
